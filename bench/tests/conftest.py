@@ -1,0 +1,7 @@
+"""Make the harness modules and the program importable from the tests."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
