@@ -93,7 +93,7 @@ Examples::
     python -m repro tournament --scale 0.05 --jobs 4
     python -m repro tournament --workloads sar,hf --entrants hybrid,forecast
     python -m repro bench --quick --trace trace.jsonl --max-trace-overhead 0.05
-    python -m repro bench --quick --kernel calendar --profile 8
+    python -m repro bench --quick --kernel analytic --profile 8
     python -m repro schedule --app hf --scale 0.1 --timeline
     python -m repro verify --scale 0.1           # all six workloads
     python -m repro verify --app madbench2 --json
@@ -160,13 +160,22 @@ FIGURES = {
 }
 
 
+def _path(value: str) -> str:
+    """argparse ``type`` of every filesystem-path option.
+
+    Parsing keeps the string as given; the marker tells
+    :func:`_campaign_argv` to journal the value as an absolute path.
+    """
+    return value
+
+
 def _add_exec_flags(sub_parser: argparse.ArgumentParser) -> None:
     """Executor knobs shared by the simulating subcommands."""
     sub_parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for the run grid (default: 1 = in-process)")
     sub_parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
+        "--cache-dir", default=None, metavar="DIR", type=_path,
         help="result cache directory (default: $REPRO_CACHE_DIR or "
         "./.repro-cache)")
     sub_parser.add_argument(
@@ -190,7 +199,7 @@ def _add_exec_flags(sub_parser: argparse.ArgumentParser) -> None:
         help="abort on the first point failure (the default; completed "
         "siblings' results are still cached)")
     sub_parser.add_argument(
-        "--journal", default=None, metavar="PATH",
+        "--journal", default=None, metavar="PATH", type=_path,
         help="append each point's outcome to a JSONL campaign journal; "
         "continue an interrupted campaign with 'repro resume PATH'")
 
@@ -198,7 +207,7 @@ def _add_exec_flags(sub_parser: argparse.ArgumentParser) -> None:
 def _add_obs_flags(sub_parser: argparse.ArgumentParser) -> None:
     """Observability outputs shared by the simulating subcommands."""
     sub_parser.add_argument(
-        "--trace", default=None, metavar="PATH",
+        "--trace", default=None, metavar="PATH", type=_path,
         help="write a JSONL span trace of every simulated point "
         "(forces serial execution)")
     sub_parser.add_argument(
@@ -206,7 +215,7 @@ def _add_obs_flags(sub_parser: argparse.ArgumentParser) -> None:
         help="with --trace: also record every MPI-IO call, disk request, "
         "network transfer and I/O-node op (roughly 20x more records)")
     sub_parser.add_argument(
-        "--metrics", default=None, metavar="PATH",
+        "--metrics", default=None, metavar="PATH", type=_path,
         help="write a merged metrics snapshot (JSON) of every simulated "
         "point; inspect with 'repro report'")
 
@@ -268,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--delta", type=int, default=None)
     run_p.add_argument("--theta", type=int, default=None)
     run_p.add_argument("--faults", default=None, metavar="PLAN.json",
+                       type=_path,
                        help="inject the given fault plan (JSON, see "
                        "repro.faults); fault counters land in --metrics")
     _add_exec_flags(run_p)
@@ -281,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                        f"(default: {DEFAULT_KERNEL}; the figure output "
                        "is identical either way)")
     fig_p.add_argument("--faults", default=None, metavar="PLAN.json",
+                       type=_path,
                        help="inject the given fault plan into every grid "
                        "point of the figure")
     _add_exec_flags(fig_p)
@@ -358,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated scenarios out of "
                         "clean,straggler,degraded (default: all three)")
     tour_p.add_argument("--output-dir", default=".", metavar="DIR",
+                        type=_path,
                         help="where to write TOURNAMENT_<stamp>.json")
     tour_p.add_argument("--no-record", action="store_true",
                         help="print the leaderboard without writing a "
@@ -589,67 +601,49 @@ def _executor(args):
     return executor, cache
 
 
+#: Options whose ``None`` default is resolved from the environment at run
+#: time (dest -> resolver).  A journal pins the resolved value: resuming
+#: under a different environment must replay the launch-time grid.
+_ENV_RESOLVED = {
+    "scale": lambda args: default_config(scale=args.scale).workload_scale,
+    "cache_dir": lambda args: _resolved_cache_dir(args) or args.cache_dir,
+}
+
+
 def _campaign_argv(args, command: str) -> list[str]:
     """The canonical argv a journal header records for ``repro resume``.
 
-    Reconstructed from the parsed namespace (not ``sys.argv``) so
-    programmatic invocations journal correctly too; paths are made
-    absolute so resume works from any working directory.
+    Derived from the subcommand parser's own actions, so no option can
+    drift out of it: an option is recorded when its parsed value differs
+    from the parser default.  Environment-resolved values
+    (:data:`_ENV_RESOLVED`) and paths (``type=_path``, made absolute so
+    resume works from any working directory) are always recorded.
     """
     import os
 
+    parser = build_parser()
+    subparsers = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
     argv: list[str] = [command]
-    if command == "figure":
-        argv.append(args.name)
-    elif command == "tournament":
-        for flag, attr in (
-            ("--workloads", "workloads"), ("--entrants", "entrants"),
-            ("--scenarios", "scenarios"),
-        ):
-            value = getattr(args, attr, None)
-            if value is not None:
-                argv += [flag, value]
-        argv += ["--output-dir", os.path.abspath(args.output_dir)]
-        if args.no_record:
-            argv.append("--no-record")
-        if args.json:
-            argv.append("--json")
-    else:
-        argv += ["--app", args.app, "--policy", args.policy]
-        if args.scheme:
-            argv.append("--scheme")
-        if getattr(args, "reorder", False):
-            argv.append("--reorder")
-        for flag, attr in (
-            ("--clients", "clients"), ("--ionodes", "ionodes"),
-            ("--delta", "delta"), ("--theta", "theta"),
-        ):
-            value = getattr(args, attr, None)
-            if value is not None:
-                argv += [flag, str(value)]
-    if args.scale is not None:
-        argv += ["--scale", repr(args.scale)]
-    if getattr(args, "kernel", None):
-        argv += ["--kernel", args.kernel]
-    if getattr(args, "faults", None):
-        argv += ["--faults", os.path.abspath(args.faults)]
-    argv += ["--jobs", str(args.jobs)]
-    if args.no_cache:
-        argv.append("--no-cache")
-    else:
-        argv += ["--cache-dir", _resolved_cache_dir(args)]
-    if args.timeout is not None:
-        argv += ["--timeout", repr(args.timeout)]
-    argv += ["--retries", str(args.retries)]
-    if args.keep_going:
-        argv.append("--keep-going")
-    if getattr(args, "trace", None):
-        argv += ["--trace", os.path.abspath(args.trace)]
-        if args.trace_detail:
-            argv.append("--trace-detail")
-    if getattr(args, "metrics", None):
-        argv += ["--metrics", os.path.abspath(args.metrics)]
-    argv += ["--journal", os.path.abspath(args.journal)]
+    for action in subparsers.choices[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        resolve = _ENV_RESOLVED.get(action.dest)
+        value = resolve(args) if resolve else getattr(args, action.dest)
+        if value is None:
+            continue
+        if action.type is _path:
+            value = os.path.abspath(value)
+        elif resolve is None and value == action.default:
+            continue
+        if not action.option_strings:
+            argv.append(str(value))
+        elif action.nargs == 0:
+            argv.append(action.option_strings[0])
+        else:
+            argv += [action.option_strings[0], str(value)]
     return argv
 
 
@@ -727,6 +721,7 @@ def cmd_list(_args, out) -> int:
 def cmd_run(args, out) -> int:
     from .exec import (
         CampaignFailed,
+        CampaignSupervisor,
         ExperimentExecutor,
         PointTimeout,
         RunPoint,
@@ -740,21 +735,20 @@ def cmd_run(args, out) -> int:
     runner = Runner(cfg, cache=cache)
     base_point = RunPoint(args.app, "default", False, cfg)
     target_point = RunPoint(args.app, args.policy, args.scheme, cfg)
+    points = [base_point, target_point]
     try:
-        if executor.observed:
+        if executor.observed and target_point != base_point:
             # Only the requested configuration runs instrumented: merging
             # the baseline's gauges in (max semantics) would make the
             # snapshot describe neither run — in particular the
             # per-family energy gauges would no longer sum to the total
             # exactly.
-            if target_point != base_point:
-                plain = ExperimentExecutor(jobs=args.jobs, cache=cache)
-                plain.warm_runner(runner, [base_point])
-            report = supervisor.warm_runner(runner, [target_point])
-        else:
-            report = supervisor.warm_runner(
-                runner, [base_point, target_point]
-            )
+            CampaignSupervisor(
+                ExperimentExecutor(jobs=args.jobs, cache=cache),
+                supervisor.policy,
+            ).warm_runner(runner, [base_point]).raise_if_failed()
+            points = [target_point]
+        report = supervisor.warm_runner(runner, points)
     except KeyboardInterrupt:
         return _interrupted(args)
     except (VerifyFailure, WorkerFailure, PointTimeout, CampaignFailed) as exc:

@@ -8,15 +8,18 @@ Layout:
   :data:`~repro.exec.serialize.SCHEMA_VERSION`;
 * :mod:`~repro.exec.cache` — :class:`ResultCache`, a content-addressed
   on-disk store keyed by the canonical config digest;
-* :mod:`~repro.exec.executor` — :class:`ExperimentExecutor` and the
-  worker entry points (one shared Runner per worker, verify gating);
+* :mod:`~repro.exec.executor` — :class:`ExperimentExecutor`, which
+  resolves grid points against the cache and stores fresh results, and
+  :func:`execute_point` (verify gating, then simulation);
 * :mod:`~repro.exec.grid` — which run points each paper figure consumes;
 * :mod:`~repro.exec.journal` — :class:`DurableJournal`, the fsync'd
   truncated-tail-tolerant JSONL substrate shared by the campaign journal
   and the scheduling server's admission WAL (``repro serve --recover``);
-* :mod:`~repro.exec.supervise` — :class:`CampaignSupervisor`: watchdog
-  timeouts, seeded-backoff retries, worker-crash recovery/quarantine,
-  the resumable JSONL campaign journal and partial-failure reports;
+* :mod:`~repro.exec.supervise` — :class:`CampaignSupervisor`, the one
+  point runner (in-process or on a worker pool with one shared Runner
+  per worker): watchdog timeouts, seeded-backoff retries, worker-crash
+  recovery/quarantine, the resumable JSONL campaign journal and
+  partial-failure reports;
 * :mod:`~repro.exec.bench` — timed grid execution and ``BENCH_*.json``
   perf records.
 """

@@ -1,10 +1,10 @@
 """``repro bench`` — timed execution of the figure grid.
 
-Times the same cold grid three ways — serial in-process, parallel through
-the executor, then a warm-cache replay — and writes a ``BENCH_*.json``
-perf record so successive PRs have a wall-clock trajectory to compare
-against.  The warm pass doubles as an end-to-end cache check: it must
-perform **zero** simulations.
+Times the same cold grid three ways — serial in-process, parallel under
+the campaign supervisor, then a warm-cache replay — and writes a
+``BENCH_*.json`` perf record so successive PRs have a wall-clock
+trajectory to compare against.  The warm pass doubles as an end-to-end
+cache check: it must perform **zero** simulations.
 
 The parallel pass runs under the campaign supervisor in keep-going mode,
 and the record carries a schema-stable ``failures`` block (count, retry/
@@ -60,12 +60,11 @@ QUICK_FIGURES = ("table3", "fig12a", "fig12b", "fig12c")
 
 #: The kernel shootout always runs this (workload, scale): ``sweep`` is
 #: the affine-heavy speedup probe (long certified compute phases for the
-#: analytic kernel, dense lockstep ticks for the calendar queue), and the
-#: fixed scale keeps shootout numbers comparable PR-over-PR regardless of
-#: what ``--scale`` the grid passes used.  2.0 makes the measured run
-#: long enough (~5×10^5 events, seconds of wall-clock per kernel) that
-#: neither per-point fixed costs nor scheduler noise drown the kernels
-#: being compared.
+#: analytic kernel), and the fixed scale keeps shootout numbers comparable
+#: PR-over-PR regardless of what ``--scale`` the grid passes used.  2.0
+#: makes the measured run long enough (~5×10^5 events, seconds of
+#: wall-clock per kernel) that neither per-point fixed costs nor
+#: scheduler noise drown the kernels being compared.
 SHOOTOUT_WORKLOAD = "sweep"
 SHOOTOUT_SCALE = 2.0
 
@@ -211,9 +210,9 @@ def kernel_shootout(
     Each kernel simulates ``sweep`` at :data:`SHOOTOUT_SCALE` ``repeats``
     times with the best wall-clock kept — the comparison wants each
     kernel's honest capability, not scheduler noise — and the repeats are
-    *interleaved* across kernels (heap, calendar, analytic, heap, …) so
-    slow machine-throughput drift hits every kernel alike instead of
-    whichever one happened to run last.  The distilled results must be
+    *interleaved* across kernels (heap, analytic, heap, …) so slow
+    machine-throughput drift hits every kernel alike instead of whichever
+    one happened to run last.  The distilled results must be
     bit-identical across kernels — that is the kernels' contract, and a
     benchmark quietly racing kernels that disagree would be meaningless —
     so any divergence raises ``RuntimeError`` instead of producing a
@@ -545,7 +544,7 @@ def run_bench(
     record["events_per_sec"] = round(aggregate_eps, 1)
 
     if shootout:
-        # The shootout is cheap (one workload, three kernels) but feeds a
+        # The shootout is cheap (one workload, two kernels) but feeds a
         # CI ordering gate, so it always gets enough repeats to be stable.
         record["kernel_shootout"] = kernel_shootout(
             cfg, repeats=max(repeats, 3)
@@ -597,7 +596,7 @@ def run_bench(
             jobs=jobs, cache=ResultCache(Path(cache_dir)), verify=verify
         )
         start = time.perf_counter()  # det: wall-clock duration is the benchmark's measurement
-        warm.run_points(points)
+        CampaignSupervisor(warm).run_points(points)
         record["warm_seconds"] = round(time.perf_counter() - start, 4)  # det: wall-clock duration is the benchmark's measurement
         record["warm"] = warm.stats.as_dict()
 
@@ -613,7 +612,15 @@ def run_bench(
         if tmp is not None:
             tmp.cleanup()
 
-    if compare_serial and record["parallel_seconds"] > 0:
+    cpus = os.cpu_count() or 1
+    if compare_serial and cpus < jobs:
+        # Fewer CPUs than workers: the pool time-slices, so the ratio
+        # measures oversubscription, not parallel speedup.
+        record["speedup"] = None
+        record["speedup_note"] = (
+            f"cpu_count {cpus} < jobs {jobs}: no parallel speedup claimed"
+        )
+    elif compare_serial and record["parallel_seconds"] > 0:
         record["speedup"] = round(
             record["serial_seconds"] / record["parallel_seconds"], 2
         )

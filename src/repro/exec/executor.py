@@ -1,34 +1,32 @@
-"""Parallel experiment execution engine.
+"""Grid-point resolution: what to run, and where results go.
 
-:class:`ExperimentExecutor` fans a grid of :class:`RunPoint`\\ s out over a
-``ProcessPoolExecutor`` and merges the results with an optional
-content-addressed :class:`~repro.exec.cache.ResultCache`:
+:class:`ExperimentExecutor` does not run anything itself.  It holds the
+campaign's configuration (``jobs``, the optional content-addressed
+:class:`~repro.exec.cache.ResultCache`, verify gating, observability
+outputs) and resolves and stores results:
 
-1. every point is first resolved against the cache in the parent (a hit
-   costs one JSON read, no simulation, no worker dispatch);
-2. the misses are simulated — in-process for ``jobs <= 1``, otherwise on
-   the pool, where each worker keeps one process-global
-   :class:`~repro.experiments.runner.Runner` so traces and compilations
-   are built once per *worker*, not once per run;
-3. fresh results are written back to the cache (atomic, content-addressed,
+1. :meth:`~ExperimentExecutor.resolve_cached` dedupes a grid and looks
+   every point up in the cache (a hit costs one JSON read, no simulation,
+   no worker dispatch);
+2. the misses are run by the campaign supervisor
+   (:class:`~repro.exec.supervise.CampaignSupervisor`) — in-process or on
+   its worker pool — through :func:`execute_point`;
+3. each fresh result goes back through
+   :meth:`~ExperimentExecutor.store_result` (atomic, content-addressed,
    so concurrent writers are safe).
 
-The simulation kernel is deterministic (seeded tie-breaks, ordered event
-heap), so a parallel sweep returns bit-identical metrics to a serial one;
-``tests/test_exec_executor.py`` locks that in.
+The executor resolves and stores; the supervisor runs.
 
-Scheme runs are gated by the static verifier (PR 1) before simulation:
-a worker whose schedule has error diagnostics raises
-:class:`VerifyFailure`, which the parent re-raises immediately after
-canceling the remaining queue — a clear top-level error, not a hung pool.
+Scheme runs are gated by the static verifier before simulation: a point
+whose schedule has error diagnostics raises :class:`VerifyFailure`, which
+the supervisor never retries.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from ..experiments.config import ExperimentConfig
 from ..experiments.runner import Runner, RunResult
@@ -136,45 +134,14 @@ def merge_metrics_dir(metrics_dir: Union[str, Path]) -> dict:
     return merge_snapshots(read_snapshot(p) for p in paths)
 
 
-# ----------------------------------------------------------------------
-# Worker side.  One Runner per worker process: traces and compilations are
-# memoized across every point the worker serves (the memo keys include the
-# relevant config fields, so sweep points share their workload trace).
-# ----------------------------------------------------------------------
-_WORKER_RUNNER: Optional[Runner] = None
-
-
-def _worker_run(
-    point: RunPoint, verify: bool, metrics_dir: Optional[str] = None
-) -> RunResult:
-    global _WORKER_RUNNER
-    if _WORKER_RUNNER is None:
-        _WORKER_RUNNER = Runner(point.config)
-    obs = None
-    if metrics_dir is not None:
-        obs = Observability(metrics=MetricsRegistry())
-    result = execute_point(_WORKER_RUNNER, point, verify=verify, obs=obs)
-    if obs is not None:
-        write_snapshot(
-            obs.metrics.snapshot(), metrics_path_for(metrics_dir, point)
-        )
-    return result
-
-
 @dataclass
 class ExecStats:
-    """What one :meth:`ExperimentExecutor.run_points` call actually did."""
+    """What an executor's campaigns actually did (points seen, cache
+    hits, points simulated)."""
 
     points: int = 0
     cache_hits: int = 0
     simulated: int = 0
-
-    def merged(self, other: "ExecStats") -> "ExecStats":
-        return ExecStats(
-            points=self.points + other.points,
-            cache_hits=self.cache_hits + other.cache_hits,
-            simulated=self.simulated + other.simulated,
-        )
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -185,7 +152,8 @@ class ExecStats:
 
 
 class ExperimentExecutor:
-    """Cache-aware, optionally parallel driver for a grid of run points."""
+    """Cache resolution, result storage and observability outputs for a
+    grid of run points (the supervisor does the running)."""
 
     def __init__(
         self,
@@ -196,16 +164,18 @@ class ExperimentExecutor:
         trace_path: Optional[Union[str, Path]] = None,
         trace_detail: bool = False,
     ):
-        """``metrics_dir`` makes every simulated point write a per-point
+        """``jobs`` is the worker count the supervisor runs misses on.
+        ``metrics_dir`` makes every simulated point write a per-point
         metrics snapshot (digest-named, safe under parallel workers);
         merge with :func:`merge_metrics_dir`.  ``trace_path`` streams
-        span events for every point into one JSONL file — tracing forces
-        the misses serial, because interleaving concurrent runs into one
-        ordered stream would be nondeterministic.  ``trace_detail`` adds
-        per-operation records (MPI-IO calls, disk requests, network
-        transfers, I/O-node ops) to the lifecycle trace.  Either option also disables
-        result-cache *reads* (a cache hit would produce no telemetry);
-        fresh results are still written back.
+        span events for every point into one JSONL file — the supervisor
+        runs traced misses serially, because interleaving concurrent runs
+        into one ordered stream would be nondeterministic.
+        ``trace_detail`` adds per-operation records (MPI-IO calls, disk
+        requests, network transfers, I/O-node ops) to the lifecycle
+        trace.  Either option also disables result-cache *reads* (a cache
+        hit would produce no telemetry); fresh results are still written
+        back.
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1: {jobs}")
@@ -224,37 +194,6 @@ class ExperimentExecutor:
         """Whether this executor emits telemetry for the points it runs."""
         return self.metrics_dir is not None or self.trace_path is not None
 
-    # ------------------------------------------------------------------
-    def run_points(
-        self, points: Iterable[RunPoint]
-    ) -> dict[RunPoint, RunResult]:
-        """Resolve every point (cache, then simulate); returns point→result.
-
-        Duplicate points are resolved once.  Results are deterministic and
-        independent of ``jobs``.
-        """
-        results, misses = self.resolve_cached(points)
-        if misses:
-            serial = (
-                self.jobs <= 1
-                or len(misses) == 1
-                or self.trace_path is not None
-            )
-            if serial:
-                self._run_serial(misses, results)
-            else:
-                self._run_parallel(misses, results)
-            for point in misses:
-                if point in results:
-                    self.store_result(point, results[point])
-            self.stats.simulated += len(misses)
-        return results
-
-    # ------------------------------------------------------------------
-    # Building blocks shared with the campaign supervisor
-    # (:mod:`repro.exec.supervise`), which replaces the one-shot
-    # parallel pass below with a retrying, journaling one.
-    # ------------------------------------------------------------------
     def resolve_cached(
         self, points: Iterable[RunPoint]
     ) -> tuple[dict[RunPoint, RunResult], list[RunPoint]]:
@@ -325,75 +264,3 @@ class ExperimentExecutor:
                 obs.metrics.snapshot(),
                 metrics_path_for(self.metrics_dir, point),
             )
-
-    def _run_serial(
-        self, misses: Sequence[RunPoint], results: dict[RunPoint, RunResult]
-    ) -> None:
-        runner = Runner(misses[0].config)
-        tracer = self.open_tracer()
-        try:
-            for point in misses:
-                obs = self.point_observability(tracer, point)
-                results[point] = execute_point(
-                    runner, point, verify=self.verify, obs=obs
-                )
-                self.write_point_metrics(obs, point)
-        finally:
-            if tracer is not None:
-                tracer.close()
-
-    def _run_parallel(
-        self, misses: Sequence[RunPoint], results: dict[RunPoint, RunResult]
-    ) -> None:
-        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(misses)))
-        try:
-            futures = {
-                pool.submit(
-                    _worker_run, point, self.verify, self.metrics_dir
-                ): point
-                for point in misses
-            }
-            done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-            error = None
-            completed: list[RunPoint] = []
-            for future in done:
-                exc = future.exception()
-                if exc is not None:
-                    if error is None:
-                        error = exc
-                    continue
-                point = futures[future]
-                results[point] = future.result()
-                completed.append(point)
-            if error is not None:
-                # Siblings that finished before the failure keep their
-                # results: they stay in ``results`` and go to the cache
-                # now (run_points only stores on clean returns), so a
-                # partial campaign is never silently thrown away.
-                for point in completed:
-                    self.store_result(point, results[point])
-                for future in not_done:
-                    future.cancel()
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise error
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown()
-
-    # ------------------------------------------------------------------
-    def warm_runner(
-        self, runner: Runner, points: Iterable[RunPoint]
-    ) -> dict[RunPoint, RunResult]:
-        """Resolve ``points`` and seed them into ``runner``'s memo table.
-
-        Figure drivers then find every grid cell already materialized and
-        never fall back to in-process simulation.
-        """
-        results = self.run_points(points)
-        for point, result in results.items():
-            runner.seed_result(
-                point.workload, point.policy, point.scheme, point.config,
-                result,
-            )
-        return results

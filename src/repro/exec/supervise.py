@@ -1,9 +1,14 @@
-"""Resilient campaign supervision over :class:`ExperimentExecutor`.
+"""Campaign supervision: the one code path that runs grid points.
 
-The plain executor is fail-stop: one worker death or hung point aborts
-the whole campaign and discards every in-flight result.
-:class:`CampaignSupervisor` wraps it with the machinery a multi-hour
-figure campaign needs to survive partial failure:
+:class:`CampaignSupervisor` takes the cache misses an
+:class:`~repro.exec.executor.ExperimentExecutor` resolved and runs them —
+in-process for ``jobs <= 1`` (or a traced campaign), otherwise on a
+``ProcessPoolExecutor`` whose workers each keep one process-global
+:class:`~repro.experiments.runner.Runner`, so traces and compilations are
+built once per *worker*, not once per point.  Every fresh result is
+stored through the executor the moment its point completes.  Around that
+sits the machinery a multi-hour figure campaign needs to survive partial
+failure:
 
 * **watchdog timeout** — a point that exceeds ``timeout`` seconds has
   its (unkillable-in-place) worker pool torn down and respawned; the
@@ -36,8 +41,9 @@ Outcome vocabulary (journal + report): ``ok``, ``cached``, ``failed``,
 ``timeout``, ``quarantined``, plus the intermediate ``retried``.
 
 Determinism: supervision never touches point digests, cache keys or
-simulation semantics — an empty journal and a fault-free campaign are
-byte-identical to an unsupervised run (locked in by the tests).
+simulation semantics — a fault-free campaign is byte-identical at any
+``jobs`` and to a direct :class:`~repro.experiments.runner.Runner` run
+(locked in by the tests).
 """
 
 from __future__ import annotations
@@ -54,14 +60,15 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Union
 
 from ..experiments.runner import Runner, RunResult
+from ..obs.base import Observability
 from ..obs.metrics import MetricsRegistry, write_snapshot
 from .cache import point_digest
 from .executor import (
     ExperimentExecutor,
     RunPoint,
     VerifyFailure,
-    _worker_run,
     execute_point,
+    metrics_path_for,
 )
 from .journal import DurableJournal
 from .serialize import (
@@ -178,6 +185,31 @@ class CampaignFailed(RuntimeError):
 #: payload intact (``tests/test_exec_pickling.py`` enforces this), so a
 #: worker error can never arrive as an opaque ``PicklingError``.
 BOUNDARY_ERRORS: tuple[type, ...] = (VerifyFailure, WorkerFailure)
+
+
+# ----------------------------------------------------------------------
+# Worker side.  One Runner per worker process: traces and compilations are
+# memoized across every point the worker serves (the memo keys include the
+# relevant config fields, so sweep points share their workload trace).
+# ----------------------------------------------------------------------
+_WORKER_RUNNER: Optional[Runner] = None
+
+
+def _worker_run(
+    point: RunPoint, verify: bool, metrics_dir: Optional[str] = None
+) -> RunResult:
+    global _WORKER_RUNNER
+    if _WORKER_RUNNER is None:
+        _WORKER_RUNNER = Runner(point.config)
+    obs = None
+    if metrics_dir is not None:
+        obs = Observability(metrics=MetricsRegistry())
+    result = execute_point(_WORKER_RUNNER, point, verify=verify, obs=obs)
+    if obs is not None:
+        write_snapshot(
+            obs.metrics.snapshot(), metrics_path_for(metrics_dir, point)
+        )
+    return result
 
 
 def _supervised_worker_run(
@@ -408,20 +440,17 @@ class _Task:
 
 
 class CampaignSupervisor:
-    """Retrying, journaling, crash-recovering driver for a point grid.
+    """Retrying, journaling, crash-recovering runner for a point grid.
 
-    Wraps an :class:`ExperimentExecutor` (which contributes jobs/cache/
-    verify/observability configuration and ``stats``) without changing
-    any of its determinism contracts: results are produced by the exact
-    same worker entry path, stored under the exact same digests, and a
-    supervised fault-free campaign is bit-identical to an unsupervised
-    one at any ``jobs``.
+    Runs the misses of an :class:`ExperimentExecutor` (which contributes
+    jobs/cache/verify/observability configuration and ``stats``) without
+    touching any determinism contract: every point goes through
+    :func:`execute_point`, results are stored under their content
+    digests, and a fault-free campaign is bit-identical at any ``jobs``.
 
-    Unlike the plain executor — which persists results only after the
-    whole grid resolves — the supervisor stores each result the moment
-    its point completes.  That per-point checkpointing is what makes
-    SIGINT/SIGKILL cheap: an interrupted campaign has lost only its
-    in-flight points.
+    Each result is stored the moment its point completes.  That
+    per-point checkpointing is what makes SIGINT/SIGKILL cheap: an
+    interrupted campaign has lost only its in-flight points.
     """
 
     def __init__(
@@ -491,7 +520,8 @@ class CampaignSupervisor:
         self, runner: Runner, points: Iterable[RunPoint]
     ) -> CampaignReport:
         """:meth:`run_points`, then seed the results into ``runner``'s
-        memo table (mirrors :meth:`ExperimentExecutor.warm_runner`)."""
+        memo table, so figure functions find every grid cell materialized
+        and never fall back to in-process simulation."""
         report = self.run_points(points)
         for point, result in report.results.items():
             runner.seed_result(

@@ -38,7 +38,7 @@ from .config import ExperimentConfig
 from .runner import Runner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..exec.executor import ExperimentExecutor, RunPoint
+    from ..exec.executor import RunPoint
     from ..exec.supervise import CampaignSupervisor
 
 __all__ = [
@@ -197,15 +197,14 @@ def run_tournament(
     entrants: Iterable[Entrant] = DEFAULT_ENTRANTS,
     scenarios: Iterable[str] = SCENARIOS,
     runner: Optional[Runner] = None,
-    executor: Optional["ExperimentExecutor"] = None,
     supervisor: Optional["CampaignSupervisor"] = None,
 ) -> dict:
     """Run the full grid and build the leaderboard document.
 
-    With ``supervisor`` (preferred) or ``executor`` attached the grid
-    fans out through the campaign machinery — cache, journal, watchdog —
-    and the resolved results are seeded into ``runner``; otherwise every
-    point runs in-process on ``runner``'s memo table.  The returned
+    With ``supervisor`` attached the grid fans out through the campaign
+    machinery — cache, journal, watchdog — and the resolved results are
+    seeded into ``runner``; otherwise every point runs in-process on
+    ``runner``'s memo table.  The returned
     document is deterministic for a given (config, grid): it carries no
     timestamps and every float is a simulation output.
     """
@@ -221,8 +220,6 @@ def run_tournament(
     points = tournament_points(base, workloads, entrants, scenarios)
     if supervisor is not None:
         supervisor.warm_runner(runner, points)
-    elif executor is not None:
-        executor.warm_runner(runner, points)
 
     cells: list[dict] = []
     contained_all = True

@@ -1,14 +1,13 @@
 """Discrete-event simulation kernel (AccuSim substitute).
 
-Exports the pluggable kernels — the reference heap :class:`Simulator`,
-the :class:`CalendarSimulator` bucketed-time queue and the hybrid
-:class:`AnalyticSimulator` affine fast path — plus process/event
-primitives and the :class:`StateTimeline` tracer used for power/idle
-accounting.  Use :func:`make_kernel` to construct by registry name.
+Exports the pluggable kernels — the reference heap :class:`Simulator`
+and the hybrid :class:`AnalyticSimulator` affine fast path — plus
+process/event primitives and the :class:`StateTimeline` tracer used for
+power/idle accounting.  Use :func:`make_kernel` to construct by registry
+name.
 """
 
 from .analytic import AnalyticSimulator, phase_energy_bounds
-from .calendar import CalendarSimulator
 from .engine import SimProcess, Simulator
 from .events import AllOf, AnyOf, ComputePhase, Event, Signal, Timeout
 from .kernels import DEFAULT_KERNEL, KERNELS, kernel_names, make_kernel
@@ -16,7 +15,6 @@ from .trace import Interval, StateTimeline
 
 __all__ = [
     "Simulator",
-    "CalendarSimulator",
     "AnalyticSimulator",
     "SimProcess",
     "Event",

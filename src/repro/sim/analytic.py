@@ -1,4 +1,4 @@
-"""Analytic hybrid kernel — closed-form affine phases over a calendar DES.
+"""Analytic hybrid kernel — closed-form affine phases over the heap DES.
 
 The dependence oracle (:mod:`repro.ir.dependence`) can prove, for affine
 programs, which slot ranges of each client perform no I/O at all.  During
@@ -16,7 +16,7 @@ Everything that is not a provable compute phase — I/O slots, scheme-on
 runs (scheduler threads observe the local clocks mid-phase), fault
 windows (the injector perturbs timing), non-affine programs, and every
 phase boundary — runs as full discrete-event simulation on the inherited
-calendar queue.  Eligibility is decided by the session, not here: the
+heap queue.  Eligibility is decided by the session, not here: the
 kernel only advertises the capability and counts what was collapsed.
 
 The disk side of a collapsed phase needs no special handling — drives
@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..obs.base import Observability
-from .calendar import CalendarSimulator
+from .engine import Simulator
 from .events import ComputePhase
 
 __all__ = ["AnalyticSimulator", "phase_energy_bounds"]
@@ -62,18 +62,16 @@ def phase_energy_bounds(
     return floor * duration, hi
 
 
-class AnalyticSimulator(CalendarSimulator):
-    """Calendar-queue kernel that accepts collapsed affine phases."""
+class AnalyticSimulator(Simulator):
+    """Heap kernel that accepts collapsed affine phases."""
 
     kernel_name = "analytic"
     supports_phase_collapse = True
 
     __slots__ = ("phases_collapsed", "slots_collapsed")
 
-    def __init__(
-        self, obs: Optional[Observability] = None, width: float = 0.05
-    ) -> None:
-        super().__init__(obs=obs, width=width)
+    def __init__(self, obs: Optional[Observability] = None) -> None:
+        super().__init__(obs=obs)
         #: Number of ComputePhase jumps executed.
         self.phases_collapsed = 0
         #: Compute slots those jumps covered (each would have cost the

@@ -12,9 +12,9 @@ The engine is deterministic: simultaneous events fire in scheduling order.
 :class:`Simulator` doubles as the reference implementation of the *kernel
 interface* — the contract every interchangeable event kernel satisfies
 (see :mod:`repro.sim.kernels` for the registry and the contract's terms).
-Alternative kernels (:class:`~repro.sim.calendar.CalendarSimulator`,
-:class:`~repro.sim.analytic.AnalyticSimulator`) subclass it and replace
-the queue machinery; everything above the queue — process semantics,
+The one alternative kernel, :class:`~repro.sim.analytic.AnalyticSimulator`,
+subclasses it and keeps the queue machinery as is; it only opts in to
+collapsed compute phases.  Everything — queue, process semantics,
 signals, cancellation bookkeeping — is shared, which is what makes
 bit-identical interchange tractable to prove.
 """
@@ -138,10 +138,10 @@ class Simulator:
     :attr:`pending_events` O(1) and bound the garbage the heap can carry.
 
     This class is the **heap kernel** — the reference implementation of
-    the kernel interface.  Subclass kernels override the queue surface
+    the kernel interface.  Subclass kernels advertise themselves via the
+    two class attributes below and may override the queue surface
     (``schedule``, ``schedule_at_exact``, ``step``, ``run``, ``_peek``,
-    ``_note_cancel``, ``pending_events``) and advertise themselves via the
-    two class attributes below; everything else is inherited.
+    ``_note_cancel``, ``pending_events``); everything else is inherited.
     """
 
     #: Registry name of this kernel implementation.

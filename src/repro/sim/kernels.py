@@ -36,7 +36,6 @@ from typing import Optional
 
 from ..obs.base import Observability
 from .analytic import AnalyticSimulator
-from .calendar import CalendarSimulator
 from .engine import Simulator
 
 __all__ = ["KERNELS", "DEFAULT_KERNEL", "kernel_names", "make_kernel"]
@@ -44,7 +43,6 @@ __all__ = ["KERNELS", "DEFAULT_KERNEL", "kernel_names", "make_kernel"]
 #: name -> kernel class, registry order (reference first).
 KERNELS: dict[str, type[Simulator]] = {
     "heap": Simulator,
-    "calendar": CalendarSimulator,
     "analytic": AnalyticSimulator,
 }
 

@@ -29,6 +29,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--app", "doom"])
 
+    def test_retired_calendar_kernel_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["run", "--app", "sar", "--kernel", "calendar"]
+            )
+        assert exc.value.code == 2
+
     def test_every_registered_figure_parses(self):
         parser = build_parser()
         for name in FIGURES:
@@ -124,7 +131,7 @@ class TestCommands:
         assert len(record["point_stats"]) == record["points"]
         shootout = record["kernel_shootout"]
         assert shootout["identical"] is True
-        assert set(shootout["kernels"]) == {"heap", "calendar", "analytic"}
+        assert set(shootout["kernels"]) == {"heap", "analytic"}
         assert "kernel shootout" in text
         # First record in an empty output dir seeds the trajectory.
         assert "seeds the trajectory" in text
@@ -134,16 +141,16 @@ class TestCommands:
 
         code, text = run_cli(
             "bench", "--quick", "--jobs", "1", "--no-serial",
-            "--figures", "table3", "--kernel", "calendar",
+            "--figures", "table3", "--kernel", "analytic",
             "--no-shootout", "--profile", "5",
             "--output-dir", str(tmp_path),
         )
         assert code == 0
         record = json.loads(next(tmp_path.glob("BENCH_*.json")).read_text())
-        assert record["kernel"] == "calendar"
+        assert record["kernel"] == "analytic"
         assert "kernel_shootout" not in record
         assert all(
-            p["kernel"] == "calendar" for p in record["point_stats"]
+            p["kernel"] == "analytic" for p in record["point_stats"]
         )
         # cProfile tables printed per point, never persisted.
         assert "tottime" in text

@@ -174,3 +174,28 @@ class TestProfileGrid:
         # A real pstats table sorted by tottime.
         assert "tottime" in table
         assert "function calls" in table
+
+
+class TestParallelSpeedup:
+    def test_no_speedup_claimed_with_fewer_cpus_than_jobs(
+        self, monkeypatch
+    ):
+        """An oversubscribed pool measures time-slicing, not parallelism:
+        the record says so instead of carrying a ratio."""
+        import repro.exec.bench as bench
+
+        points = [
+            RunPoint("sar", "simple", False, SMALL),
+            RunPoint("hf", "simple", False, SMALL),
+        ]
+        monkeypatch.setattr(bench, "all_figure_points", lambda *a, **k: points)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 1)
+        record = bench.run_bench(
+            config=SMALL, figures=("table3",), jobs=2,
+            shootout=False, server=False, tournament=False,
+        )
+        assert record["cpu_count"] == 1
+        assert record["speedup"] is None
+        assert "cpu_count 1 < jobs 2" in record["speedup_note"]
+        assert record["serial_seconds"] > 0
+        assert record["warm"]["simulated"] == 0

@@ -1,7 +1,7 @@
 """Tests for the campaign supervisor (:mod:`repro.exec.supervise`).
 
-The headline guarantees: a supervised fault-free campaign is
-bit-identical to an unsupervised one; a worker SIGKILL mid-campaign is
+The headline guarantees: a fault-free campaign is bit-identical at
+``jobs=1`` and ``jobs=2``; a worker SIGKILL mid-campaign is
 recovered (pool respawn + requeue) and the campaign still completes; a
 hung point is reclaimed by the watchdog; a repeat pool-killer is
 quarantined without taking innocent siblings with it; and the JSONL
@@ -76,6 +76,7 @@ def scripted_worker(point, verify, metrics_dir=None):
     ``ok*``     succeed immediately (and drop a completion marker);
     ``flakyN``  raise for the first N attempts, then succeed;
     ``doomed``  always raise ValueError;
+    ``doomedlate`` raise ValueError after its pool-mates have finished;
     ``badverify`` raise VerifyFailure (non-retryable by contract);
     ``killonce``/``killer`` SIGKILL their own worker process;
     ``hangonce``/``hang``   sleep far past any watchdog timeout;
@@ -93,6 +94,9 @@ def scripted_worker(point, verify, metrics_dir=None):
         if count < int(name.removeprefix("flaky")):
             raise ValueError(f"transient failure #{count + 1}")
     elif name == "doomed":
+        raise ValueError("permanently broken point")
+    elif name == "doomedlate":
+        time.sleep(0.5)
         raise ValueError("permanently broken point")
     elif name == "badverify":
         raise VerifyFailure(point.label(), "synthetic verifier report")
@@ -408,6 +412,21 @@ class TestPoolRecovery:
         assert supervisor.metrics.counter("exec.quarantined").value == 1
         assert report.worker_deaths >= policy.quarantine_after
 
+    def test_failfast_pool_raise_preserves_completed_siblings(
+        self, scratch, tmp_path
+    ):
+        """Pool-mates that finished before a fail-fast failure keep their
+        cached results, so a rerun repeats only the failed point."""
+        cache = ResultCache(tmp_path / "cache")
+        supervisor = make_supervisor(
+            jobs=2, policy=SupervisorPolicy(retries=0), cache=cache
+        )
+        with pytest.raises(ValueError, match="permanently broken"):
+            supervisor.run_points(stub_points("okJ", "okK", "doomedlate"))
+        for name in ("okJ", "okK"):
+            assert cache.lookup(TINY, name, "simple", False) is not None
+        assert cache.lookup(TINY, "doomedlate", "simple", False) is None
+
     def test_watchdog_reclaims_hung_worker_then_retry_succeeds(self,
                                                                scratch):
         policy = SupervisorPolicy(
@@ -457,14 +476,16 @@ class TestPoolRecovery:
 # Determinism: supervision must not perturb real results
 # ----------------------------------------------------------------------
 class TestDeterminism:
-    def test_supervised_campaign_bit_identical_to_plain_executor(self):
+    def test_supervised_jobs1_and_jobs2_bit_identical(self):
         points = [
             RunPoint("sar", "simple", False, TINY),
             RunPoint("madbench2", "simple", False, TINY),
         ]
-        plain = ExperimentExecutor(jobs=1).run_points(points)
-        supervised = CampaignSupervisor(
+        serial = CampaignSupervisor(
+            ExperimentExecutor(jobs=1)
+        ).run_points(points)
+        pooled = CampaignSupervisor(
             ExperimentExecutor(jobs=2)
         ).run_points(points)
-        assert supervised.ok
-        assert supervised.results == plain
+        assert serial.ok and pooled.ok
+        assert pooled.results == serial.results

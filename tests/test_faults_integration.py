@@ -22,6 +22,7 @@ import random
 import pytest
 
 from repro.exec import (
+    CampaignSupervisor,
     ExperimentExecutor,
     ResultCache,
     RunPoint,
@@ -249,7 +250,7 @@ class TestSeededReplay:
 
     def points(self):
         # >= 2 cache misses, so --jobs 4 genuinely exercises the pool
-        # (a single miss is forced serial by the executor).
+        # (a single miss is forced serial by the supervisor).
         base = [
             RunPoint("sar", "simple", True, SMALL),
             RunPoint("madbench2", "simple", True, SMALL),
@@ -260,12 +261,12 @@ class TestSeededReplay:
         points = self.points()
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
-        serial = ExperimentExecutor(
-            jobs=1, metrics_dir=serial_dir
-        ).run_points(points)
-        parallel = ExperimentExecutor(
-            jobs=4, metrics_dir=parallel_dir
-        ).run_points(points)
+        serial = CampaignSupervisor(
+            ExperimentExecutor(jobs=1, metrics_dir=serial_dir)
+        ).run_points(points).results
+        parallel = CampaignSupervisor(
+            ExperimentExecutor(jobs=4, metrics_dir=parallel_dir)
+        ).run_points(points).results
         for point in points:
             assert run_result_to_dict(parallel[point]) == \
                 run_result_to_dict(serial[point])

@@ -1,7 +1,7 @@
 """Differential corpus: every simulation kernel is bit-identical.
 
-The pluggable kernels (heap reference, calendar queue, analytic affine
-fast path) are *performance* variants only — the distilled
+The pluggable kernels (heap reference, analytic affine fast path) are
+*performance* variants only — the distilled
 :class:`~repro.experiments.runner.RunResult` must match the heap kernel
 byte for byte on every grid point, including faulted and degraded-mode
 configurations, serially and under a worker pool.  Equality is asserted
@@ -11,13 +11,14 @@ encoding the result cache and campaign journals persist.
 A separate check pins down *when* the analytic fast path may engage:
 only on affine, scheme-off, fault-free runs — and that it actually does
 engage there (``slots_collapsed > 0``), so the speedup can never
-silently rot into "analytic == calendar".
+silently rot into "analytic == heap".
 """
 
 import pytest
 
 from repro.analysis import CORPUS_POLICIES
 from repro.exec import (
+    CampaignSupervisor,
     ExperimentExecutor,
     RunPoint,
     run_result_to_dict,
@@ -125,8 +126,12 @@ class TestExecutorEquivalence:
 
     def test_jobs1_and_jobs4_bit_identical(self):
         points = self.points()
-        serial = ExperimentExecutor(jobs=1).run_points(points)
-        parallel = ExperimentExecutor(jobs=4).run_points(points)
+        serial = CampaignSupervisor(
+            ExperimentExecutor(jobs=1)
+        ).run_points(points).results
+        parallel = CampaignSupervisor(
+            ExperimentExecutor(jobs=4)
+        ).run_points(points).results
         assert set(serial) == set(parallel) == set(points)
         for point in points:
             assert (
@@ -164,8 +169,7 @@ class TestAnalyticEngagement:
         _, stats = runner.measure("madbench2", "simple", False)
         assert stats["slots_collapsed"] == 0
 
-    def test_heap_and_calendar_never_collapse(self):
-        for name in ("heap", "calendar"):
-            _, stats = RUNNERS[name].measure("sweep", "simple", False)
-            assert stats["kernel"] == name
-            assert stats["slots_collapsed"] == 0
+    def test_heap_never_collapses(self):
+        _, stats = RUNNERS["heap"].measure("sweep", "simple", False)
+        assert stats["kernel"] == "heap"
+        assert stats["slots_collapsed"] == 0

@@ -9,11 +9,13 @@ import pytest
 
 from repro.cli import main
 from repro.exec import (
+    CampaignSupervisor,
     ExperimentExecutor,
     ResultCache,
     RunPoint,
     merge_metrics_dir,
 )
+from repro.exec.executor import metrics_path_for
 from repro.experiments import ExperimentConfig, Runner
 from repro.obs import JsonlTracer, MetricsRegistry, Observability, read_trace
 
@@ -108,19 +110,20 @@ class TestExecutorObservability:
 
     def test_metrics_dir_gets_one_snapshot_per_point(self, tmp_path):
         executor = ExperimentExecutor(jobs=1, metrics_dir=tmp_path)
-        executor.run_points(self.POINTS)
+        CampaignSupervisor(executor).run_points(self.POINTS)
+        for point in self.POINTS:
+            assert metrics_path_for(tmp_path, point).exists()
+        # Plus the supervisor's campaign-level exec.* snapshot.
         files = sorted(tmp_path.glob("*.metrics.json"))
-        assert len(files) == len(self.POINTS)
+        assert len(files) == len(self.POINTS) + 1
 
     def test_parallel_merge_identical_to_serial(self, tmp_path):
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
-        ExperimentExecutor(jobs=1, metrics_dir=serial_dir).run_points(
-            self.POINTS
-        )
-        ExperimentExecutor(jobs=2, metrics_dir=parallel_dir).run_points(
-            self.POINTS
-        )
+        for jobs, metrics_dir in ((1, serial_dir), (2, parallel_dir)):
+            CampaignSupervisor(
+                ExperimentExecutor(jobs=jobs, metrics_dir=metrics_dir)
+            ).run_points(self.POINTS)
         assert merge_metrics_dir(serial_dir) == merge_metrics_dir(
             parallel_dir
         )
@@ -128,7 +131,7 @@ class TestExecutorObservability:
     def test_trace_path_forces_serial_and_writes_all_points(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         executor = ExperimentExecutor(jobs=4, trace_path=trace)
-        executor.run_points(self.POINTS)
+        CampaignSupervisor(executor).run_points(self.POINTS)
         labels = {r.get("point") for r in read_trace(trace)}
         assert labels == {p.label() for p in self.POINTS}
 
@@ -136,11 +139,11 @@ class TestExecutorObservability:
         cache = ResultCache(tmp_path / "cache")
         point = self.POINTS[0]
         warmup = ExperimentExecutor(jobs=1, cache=cache)
-        warmup.run_points([point])
+        CampaignSupervisor(warmup).run_points([point])
         observed = ExperimentExecutor(
             jobs=1, cache=cache, metrics_dir=tmp_path / "metrics"
         )
-        observed.run_points([point])
+        CampaignSupervisor(observed).run_points([point])
         # A cache hit would have produced no snapshot; the point must
         # re-simulate.
         assert observed.stats.simulated == 1
@@ -149,7 +152,9 @@ class TestExecutorObservability:
 
     def test_unobserved_runs_emit_nothing(self, tmp_path):
         executor = ExperimentExecutor(jobs=1)
-        results = executor.run_points([self.POINTS[0]])
+        results = CampaignSupervisor(executor).run_points(
+            [self.POINTS[0]]
+        ).results
         assert not executor.observed
         assert list(results.values())[0].energy_joules > 0
 

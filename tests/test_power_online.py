@@ -22,7 +22,12 @@ import pytest
 
 from repro.analysis.energy import analyze_energy
 from repro.disk import Drive
-from repro.exec import ExperimentExecutor, RunPoint, run_result_to_dict
+from repro.exec import (
+    CampaignSupervisor,
+    ExperimentExecutor,
+    RunPoint,
+    run_result_to_dict,
+)
 from repro.experiments import ExperimentConfig, Runner
 from repro.experiments.runner import ONLINE_POLICIES
 from repro.experiments.tournament import (
@@ -366,8 +371,12 @@ class TestReplayability:
 
     def test_jobs1_and_jobs4_bit_identical(self):
         points = _corpus_points()
-        serial = ExperimentExecutor(jobs=1).run_points(points)
-        parallel = ExperimentExecutor(jobs=4).run_points(points)
+        serial = CampaignSupervisor(
+            ExperimentExecutor(jobs=1)
+        ).run_points(points).results
+        parallel = CampaignSupervisor(
+            ExperimentExecutor(jobs=4)
+        ).run_points(points).results
         assert set(serial) == set(parallel) == set(points)
         for point in points:
             assert (

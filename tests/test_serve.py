@@ -118,12 +118,12 @@ class TestParsePoint:
                 "workload": "hf",
                 "policy": "history",
                 "scheme": True,
-                "config": {"delta": 40, "kernel": "calendar"},
+                "config": {"delta": 40, "kernel": "analytic"},
             },
             TINY,
         )
         assert point.config.delta == 40
-        assert point.config.kernel == "calendar"
+        assert point.config.kernel == "analytic"
         assert point.config.workload_scale == TINY.workload_scale
 
     def test_fault_plan_override(self):
@@ -158,6 +158,7 @@ class TestParsePoint:
             {"workload": "sar", "config": {"kernel": "warp-drive"}},
             {"workload": "sar", "config": "not a dict"},
             {"workload": "sar", "config": {"fault_plan": {"bogus": True}}},
+            {"workload": "sar", "config": {"kernel": "calendar"}},
         ],
     )
     def test_bad_submissions_are_400(self, doc):

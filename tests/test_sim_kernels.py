@@ -1,16 +1,11 @@
-"""Kernel-interface tests: calendar queue unit behavior, heap/calendar
-order equivalence (including same-timestamp ties), ComputePhase exactness
-and the kernel registry."""
-
-import itertools
+"""Kernel-interface tests: ComputePhase exactness, lazy signal waiters,
+phase energy bounds and the kernel registry."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.experiments import ExperimentConfig
 from repro.sim import (
     AnalyticSimulator,
-    CalendarSimulator,
     ComputePhase,
     Signal,
     Simulator,
@@ -20,209 +15,6 @@ from repro.sim import (
     phase_energy_bounds,
 )
 from repro.sim.kernels import KERNELS
-
-
-class TestCalendarBasics:
-    def test_orders_across_buckets(self):
-        heap, cal = Simulator(), CalendarSimulator()
-        for sim in (heap, cal):
-            order = []
-            for uid, delay in enumerate([5.0, 0.25, 63.9, 0.26, 12.5, 0.0]):
-                sim.schedule(delay, order.append, (uid, delay))
-            sim.run()
-            assert order == sorted(order, key=lambda e: e[1])
-
-    def test_same_time_ties_fire_in_scheduling_order(self):
-        for cls in (Simulator, CalendarSimulator, AnalyticSimulator):
-            sim = cls()
-            order = []
-            for uid in range(10):
-                sim.schedule(1.0, order.append, uid)
-            sim.run()
-            assert order == list(range(10))
-
-    def test_late_insert_into_current_bucket(self):
-        """An event scheduled *while draining* its own bucket lands in
-        sorted position behind the cursor (the insort path)."""
-        sim = CalendarSimulator(width=10.0)
-        order = []
-
-        def first():
-            order.append("first")
-            # now=1.0; both land in the bucket being drained.
-            sim.schedule(0.5, lambda: order.append("mid"))
-            sim.schedule(0.1, lambda: order.append("early"))
-
-        sim.schedule(1.0, first)
-        sim.schedule(2.0, lambda: order.append("last"))
-        sim.run()
-        assert order == ["first", "early", "mid", "last"]
-
-    def test_until_and_max_events_match_heap(self):
-        def build(cls):
-            sim = cls()
-            hits = []
-            for uid, delay in enumerate([0.5, 1.5, 2.5, 3.5]):
-                sim.schedule(delay, hits.append, uid)
-            return sim, hits
-
-        for kwargs, expect_now in (
-            ({"until": 2.0}, 2.0),        # stops between events
-            ({"until": 99.0}, 99.0),      # drains, clock advances to until
-            ({"max_events": 2}, 1.5),     # stops after two events
-            ({"max_events": 0}, 0.0),     # runs nothing
-        ):
-            ref_sim, ref_hits = build(Simulator)
-            ref_sim.run(**kwargs)
-            cal_sim, cal_hits = build(CalendarSimulator)
-            cal_sim.run(**kwargs)
-            assert cal_hits == ref_hits, kwargs
-            assert cal_sim.now == ref_sim.now == expect_now, kwargs
-
-    def test_negative_delay_and_past_time_raise(self):
-        sim = CalendarSimulator()
-        with pytest.raises(ValueError):
-            sim.schedule(-0.1, lambda: None)
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        with pytest.raises(ValueError):
-            sim.schedule_at_exact(0.5, lambda: None)
-
-    def test_invalid_width_rejected(self):
-        with pytest.raises(ValueError):
-            CalendarSimulator(width=0.0)
-
-
-class TestCalendarCancel:
-    def test_cancel_skipped_and_pending_exact(self):
-        sim = CalendarSimulator()
-        hits = []
-        events = [sim.schedule(float(i), hits.append, i) for i in range(10)]
-        events[3].cancel()
-        events[7].cancel()
-        assert sim.pending_events == 8
-        sim.run()
-        assert hits == [0, 1, 2, 4, 5, 6, 8, 9]
-        assert sim.pending_events == 0
-
-    def test_mass_cancel_triggers_compaction(self):
-        """Cancelling most of a large population compacts storage while
-        keeping pending_events exact and order intact."""
-        sim = CalendarSimulator()
-        hits = []
-        keep = [sim.schedule(float(i) + 0.5, hits.append, i)
-                for i in range(0, 200, 2)]
-        drop = [sim.schedule(float(i) + 0.25, hits.append, 1000 + i)
-                for i in range(0, 202, 2)]  # one more than keep: strict majority
-        for event in drop:
-            event.cancel()
-        assert sim._canceled == 0  # compaction ran (threshold is 64)
-        assert sim.pending_events == len(keep)
-        sim.run()
-        assert hits == list(range(0, 200, 2))
-
-    def test_cancel_during_drain(self):
-        """Cancelling a later entry of the bucket currently being drained
-        must not fire it."""
-        sim = CalendarSimulator(width=100.0)
-        hits = []
-        later = sim.schedule(2.0, hits.append, "later")
-        sim.schedule(1.0, lambda: later.cancel())
-        sim.schedule(3.0, hits.append, "end")
-        sim.run()
-        assert hits == ["end"]
-
-
-class TestCalendarWidthAdaptation:
-    def test_sparse_schedule_widens_buckets(self):
-        """Singleton drains (occupancy << 2) double the width at review
-        without perturbing delivery order."""
-        sim = CalendarSimulator(width=0.01)
-        start = sim._width
-        hits = []
-
-        def chain(i):
-            hits.append(i)
-            if i < 200:
-                sim.schedule(1.0, chain, i + 1)
-
-        sim.schedule(1.0, chain, 0)
-        sim.run()
-        assert hits == list(range(201))
-        assert sim._width > start
-
-    def test_rebucket_preserves_pending_entries(self):
-        sim = CalendarSimulator(width=0.01)
-        hits = []
-        # Far-future entries cross many reviews/rebuckets before firing.
-        for uid, t in enumerate([500.0, 500.0, 123.456, 700.2]):
-            sim.schedule(t, hits.append, uid)
-
-        def chain(i):
-            if i < 150:
-                sim.schedule(1.0, chain, i + 1)
-
-        sim.schedule(1.0, chain, 0)
-        sim.run()
-        assert hits == [2, 0, 1, 3]
-        assert sim.pending_events == 0
-
-
-SCRIPT = st.lists(
-    st.tuples(
-        # Coarse delay grid on purpose: collisions → same-timestamp ties.
-        st.sampled_from([0.0, 0.1, 0.25, 0.25, 0.5, 1.0, 3.7, 64.1]),
-        st.integers(min_value=0, max_value=2),   # children spawned on fire
-        st.booleans(),                           # try to cancel a pending event
-    ),
-    min_size=1,
-    max_size=30,
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(script=SCRIPT)
-def test_calendar_dequeue_order_matches_heap(script):
-    """Heap and calendar execute any schedule/spawn/cancel script in the
-    identical order, same-timestamp ties included."""
-
-    def run(cls):
-        sim = cls()
-        order = []
-        pending = []   # (uid, event) not yet fired nor canceled
-        fired = set()
-        uids = itertools.count()
-
-        def fire(uid, depth, spawn, do_cancel, delay):
-            order.append((uid, sim.now))
-            fired.add(uid)
-            if do_cancel:
-                # Cancel the oldest still-pending event — never one that
-                # already fired (cancel-after-fire corrupts the counters
-                # identically on every kernel; see the engine docstring).
-                for puid, event in pending:
-                    if puid not in fired and not event.canceled:
-                        event.cancel()
-                        break
-            if depth < 2:
-                for k in range(spawn):
-                    child = next(uids)
-                    d = delay / (3 + k)
-                    event = sim.schedule(
-                        d, fire, child, depth + 1, spawn, False, d
-                    )
-                    pending.append((child, event))
-
-        for delay, spawn, do_cancel in script:
-            uid = next(uids)
-            event = sim.schedule(delay, fire, uid, 0, spawn, do_cancel, delay)
-            pending.append((uid, event))
-        sim.run()
-        return order, sim.events_executed, sim.pending_events
-
-    heap_out = run(Simulator)
-    cal_out = run(CalendarSimulator)
-    assert cal_out == heap_out
 
 
 class TestComputePhase:
@@ -244,7 +36,7 @@ class TestComputePhase:
         ref = Simulator()
         ref.process(per_slot(ref))
         ref.run()
-        for cls in (Simulator, CalendarSimulator, AnalyticSimulator):
+        for cls in (Simulator, AnalyticSimulator):
             sim = cls()
             sim.process(collapsed(sim))
             sim.run()
@@ -262,7 +54,7 @@ class TestComputePhase:
         assert sim.phases_collapsed == 2
         assert sim.slots_collapsed == 7
 
-    def test_heap_and_calendar_ignore_phase_counters(self):
+    def test_heap_ignores_phase_counters(self):
         sim = Simulator()
 
         def proc():
@@ -296,10 +88,10 @@ class TestLazyWaiters:
 
 class TestKernelRegistry:
     def test_registry_names_and_classes(self):
-        assert kernel_names() == ("heap", "calendar", "analytic")
+        assert kernel_names() == ("heap", "analytic")
         assert KERNELS["heap"] is Simulator
-        assert KERNELS["calendar"] is CalendarSimulator
         assert KERNELS["analytic"] is AnalyticSimulator
+        assert AnalyticSimulator.__bases__ == (Simulator,)
 
     def test_make_kernel(self):
         for name in kernel_names():
@@ -307,12 +99,17 @@ class TestKernelRegistry:
             assert sim.kernel_name == name
 
     def test_unknown_kernel_raises_with_available_list(self):
-        with pytest.raises(ValueError, match="calendar"):
+        with pytest.raises(ValueError, match="analytic"):
             make_kernel("splay-tree")
+
+    def test_retired_calendar_kernel_rejected(self):
+        with pytest.raises(ValueError, match="calendar"):
+            make_kernel("calendar")
+        with pytest.raises(ValueError, match="unknown simulation kernel"):
+            ExperimentConfig(kernel="calendar")
 
     def test_only_analytic_collapses(self):
         assert not Simulator.supports_phase_collapse
-        assert not CalendarSimulator.supports_phase_collapse
         assert AnalyticSimulator.supports_phase_collapse
 
 
