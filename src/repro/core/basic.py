@@ -110,6 +110,7 @@ class BasicScheduler:
         self.order = order
         self.weight_shape = weight_shape
         self._rng = random.Random(seed)
+        self._inverse_distances: dict[tuple[int, int], float] = {}
         # σ_{|k|} for |k| = 0..δ (Eq. 3), or flat for the ablation.
         if weight_shape == "uniform":
             self._weights = [1.0] * (delta + 1)
@@ -175,9 +176,17 @@ class BasicScheduler:
         hi = last_start + length - 1 + self.delta
         group = state.group
         n = self.n_nodes
-        inv = np.empty(hi - lo + 1, dtype=float)
-        for i, s in enumerate(range(lo, hi + 1)):
-            inv[i] = inverse_distance(g, group.get(s, 0), n)
+        # One access's signature meets few distinct group signatures, so
+        # each inverse distance is computed once per (g, G) pair.
+        memo = self._inverse_distances
+        values = []
+        for s in range(lo, hi + 1):
+            key = (g, group.get(s, 0))
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = inverse_distance(g, key[1], n)
+            values.append(value)
+        inv = np.array(values, dtype=float)
         kernel = self._kernel(length)
         return np.convolve(inv, kernel, mode="valid")
 

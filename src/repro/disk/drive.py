@@ -10,6 +10,10 @@ Service discipline
 ------------------
 * Requests queue; the head serves them one at a time picked by an elevator
   (SCAN) sweep over cylinders (Table II: "Disk-Arm Scheduling: Elevator").
+  The queue is kept sorted by ``(cylinder, arrival)``, so each pick is a
+  bisection rather than a scan of the whole queue.
+* One service is one simulation event: the seek and transfer states are
+  both recorded when service starts, and only the completion is scheduled.
 * A request arriving while the disk is in standby forces a spin-up; one
   arriving mid-spin-down waits for the spin-down to complete and then for
   the full spin-up (the usual DiskSim semantics).
@@ -23,6 +27,7 @@ Service discipline
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TYPE_CHECKING
 
@@ -106,6 +111,7 @@ class Drive:
         "current_rpm",
         "target_rpm",
         "_queue",
+        "_arrivals",
         "_busy",
         "_head_cylinder",
         "_sweep_up",
@@ -153,7 +159,10 @@ class Drive:
 
         self.current_rpm = spec.max_rpm
         self.target_rpm = spec.max_rpm
-        self._queue: list[DiskRequest] = []
+        #: ``(cylinder, arrival seq, request)`` entries: sorted for the
+        #: elevator, in arrival order for FIFO.
+        self._queue: list[tuple[int, int, DiskRequest]] = []
+        self._arrivals = itertools.count()
         self._busy = False
         self._head_cylinder = 0
         self._sweep_up = True
@@ -230,8 +239,16 @@ class Drive:
         """Enqueue a request.  Its ``on_complete`` fires when served."""
         request.submit_time = self.sim.now
         was_idle = self.is_idle
-        self._queue.append(request)
-        self.stats.max_queue_depth = max(self.stats.max_queue_depth, len(self._queue))
+        entry = (
+            lba_to_cylinder(self.spec, request.lba), next(self._arrivals), request
+        )
+        queue = self._queue
+        if self.arm_scheduling == "fifo":
+            queue.append(entry)
+        else:
+            insort(queue, entry)
+        if len(queue) > self.stats.max_queue_depth:
+            self.stats.max_queue_depth = len(queue)
         if self._tracer.detail:
             self._tracer.begin(
                 "disk.request",
@@ -240,30 +257,34 @@ class Drive:
                 lba=request.lba,
                 nbytes=request.nbytes,
                 write=request.is_write,
-                qdepth=len(self._queue),
+                qdepth=len(queue),
             )
         if was_idle and self.policy is not None:
             self.policy.on_request_arrival(self.sim.now)
         self._try_start_service()
 
-    def _pick_next(self) -> DiskRequest:
+    def _pick_next(self) -> tuple[int, int, DiskRequest]:
         """Elevator (SCAN): continue the sweep direction, turn at the end.
-        FIFO (the ablation alternative) serves in arrival order."""
-        if len(self._queue) == 1 or self.arm_scheduling == "fifo":
-            return self._queue.pop(0)
-        keyed = [
-            (lba_to_cylinder(self.spec, r.lba), i, r)
-            for i, r in enumerate(self._queue)
-        ]
-        ahead = [k for k in keyed if (k[0] >= self._head_cylinder) == self._sweep_up]
-        if not ahead:
-            self._sweep_up = not self._sweep_up
-            ahead = keyed
-        chosen = min(
-            ahead, key=lambda k: (abs(k[0] - self._head_cylinder), k[1])
-        )
-        self._queue.pop(chosen[1])
-        return chosen[2]
+
+        Sweeping up takes the smallest cylinder at or past the head,
+        sweeping down the largest cylinder below it; on one cylinder the
+        earliest arrival goes first.  A lone request is served without
+        touching the sweep direction.  FIFO (the ablation alternative)
+        serves in arrival order."""
+        queue = self._queue
+        if len(queue) == 1 or self.arm_scheduling == "fifo":
+            return queue.pop(0)
+        # Entries before ``split`` lie below the head cylinder.
+        split = bisect_left(queue, (self._head_cylinder,))
+        if self._sweep_up:
+            if split < len(queue):
+                return queue.pop(split)
+            self._sweep_up = False
+            split = len(queue)
+        elif split == 0:
+            self._sweep_up = True
+            return queue.pop(0)
+        return queue.pop(bisect_left(queue, (queue[split - 1][0],)))
 
     def _try_start_service(self) -> None:
         if self._busy or not self._queue:
@@ -288,30 +309,38 @@ class Drive:
         if not self.serve_at_low_rpm and self.current_rpm != self.spec.max_rpm:
             self.request_rpm(self.spec.max_rpm)
             return
-        self._start_service(self._pick_next())
+        cylinder, _seq, request = self._pick_next()
+        self._start_service(request, cylinder)
 
-    def _start_service(self, request: DiskRequest) -> None:
+    def _start_service(self, request: DiskRequest, cylinder: int) -> None:
+        """Record the seek and transfer states and schedule the completion.
+
+        Nothing changes the drive's speed or reads its timeline while it
+        is busy, so the transfer state can be entered ahead of the clock
+        and one event covers the whole service.  The completion time is
+        the same float the seek-then-transfer event chain would reach.
+        """
         self._busy = True
-        request.start_time = self.sim.now
-        parts = service_components(
+        now = self.sim.now
+        request.start_time = now
+        rpm = self.current_rpm
+        seek, rotational_latency, transfer = service_components(
             self.spec,
             self._head_cylinder,
             request.lba,
             request.nbytes,
-            self.current_rpm,
+            rpm,
             sequential_hint=request.sequential_hint,
+            cylinder=cylinder,
         )
-        now = self.sim.now
-        if parts.seek > 0:
-            self.timeline.transition(now, st.seek_at(self.current_rpm))
-        self.sim.schedule(parts.seek, self._begin_transfer, request, parts)
-
-    def _begin_transfer(self, request: DiskRequest, parts) -> None:
-        self.timeline.transition(
-            self.sim.now, st.active_at(self.current_rpm, write=request.is_write)
-        )
-        self.sim.schedule(
-            parts.rotational_latency + parts.transfer, self._complete, request
+        timeline = self.timeline
+        if seek > 0:
+            timeline.transition(now, st.seek_at(rpm))
+        begin = now + seek
+        timeline.transition(begin, st.active_at(rpm, write=request.is_write))
+        self._head_cylinder = cylinder
+        self.sim.schedule_at_exact(
+            begin + (rotational_latency + transfer), self._complete, request
         )
 
     def _complete(self, request: DiskRequest) -> None:
@@ -332,7 +361,6 @@ class Drive:
                     now, request.lba, request.nbytes, request.retries
                 )
         request.end_time = now
-        self._head_cylinder = lba_to_cylinder(self.spec, request.lba)
         self._busy = False
 
         stats = self.stats
@@ -554,11 +582,15 @@ class Drive:
         self.timeline.finalize(self.sim.now)
 
     def energy(self) -> float:
-        """Total joules consumed (requires :meth:`finalize` first)."""
-        return self.power_model.energy(self.timeline)
+        """Total joules consumed (requires :meth:`finalize` first); the
+        ``fsum`` of :meth:`energy_breakdown`'s families, bit for bit."""
+        return self.energy_breakdown().total
 
     def energy_breakdown(self) -> EnergyBreakdown:
-        return self.power_model.breakdown(self.timeline)
+        """Per-family joules over the whole recorded timeline."""
+        from ..metrics.energy import breakdown_until
+
+        return breakdown_until(self, self.timeline.current_since)
 
     def idle_periods(self) -> list[float]:
         """Lengths (seconds) of maximal non-serving periods."""

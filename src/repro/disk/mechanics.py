@@ -10,15 +10,14 @@ request *durations* and the busy/idle structure, not on sector phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .specs import DiskSpec
 
 __all__ = ["ServiceComponents", "service_components", "lba_to_cylinder"]
 
 
-@dataclass(frozen=True)
-class ServiceComponents:
+class ServiceComponents(NamedTuple):
     """Breakdown of one request's service time (seconds)."""
 
     seek: float
@@ -49,12 +48,14 @@ def service_components(
     nbytes: int,
     rpm: int,
     sequential_hint: bool = False,
+    cylinder: Optional[int] = None,
 ) -> ServiceComponents:
     """Compute the mechanical service-time components of one request.
 
     ``sequential_hint`` marks a request that directly follows its
     predecessor on disk (same stream): seek and rotational latency collapse
     to (almost) zero, which is what makes grouped sequential access cheap.
+    ``cylinder`` is ``lba``'s cylinder when the caller already knows it.
     """
     if nbytes < 0:
         raise ValueError(f"negative request size: {nbytes}")
@@ -65,10 +66,10 @@ def service_components(
         seek = 0.0
         rot = spec.head_switch_time  # occasional head/track switch
     else:
-        target = lba_to_cylinder(spec, lba)
+        target = lba_to_cylinder(spec, lba) if cylinder is None else cylinder
         distance = abs(target - head_cylinder) / max(1, spec.cylinders - 1)
         seek = spec.seek_time(distance)
         rot = spec.avg_rotational_latency(rpm)
 
     transfer = spec.transfer_time(nbytes, rpm)
-    return ServiceComponents(seek=seek, rotational_latency=rot, transfer=transfer)
+    return ServiceComponents(seek, rot, transfer)

@@ -1,10 +1,10 @@
 """Power accounting for disk drives.
 
 Maps every state label a :class:`~repro.disk.drive.Drive` can enter to a
-power draw (watts) according to its :class:`~repro.disk.specs.DiskSpec`,
-and integrates a :class:`~repro.sim.trace.StateTimeline` into joules with a
-per-state-family breakdown.  This is the "DiskSim augmented with detailed
-power models" half of the paper's methodology.
+power draw (watts) according to its :class:`~repro.disk.specs.DiskSpec`.
+Timelines are integrated into per-family joules in one place,
+:func:`repro.metrics.energy.breakdown_until`.  This is the "DiskSim
+augmented with detailed power models" half of the paper's methodology.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..sim.trace import StateTimeline
 from . import states as st
 from .specs import DiskSpec
 
@@ -182,9 +181,16 @@ class DiskPowerModel:
 
     def __init__(self, spec: DiskSpec):
         self.spec = spec
+        self._watts: dict[str, float] = {}
 
     def power_of(self, state: str) -> float:
-        """Instantaneous power draw in ``state``."""
+        """Instantaneous power draw in ``state`` (memoised per label)."""
+        watts = self._watts.get(state)
+        if watts is None:
+            watts = self._watts[state] = self._power_of(state)
+        return watts
+
+    def _power_of(self, state: str) -> float:
         spec = self.spec
         base = st.base_state(state)
         rpm = st.parse_rpm(state, spec.max_rpm)
@@ -207,31 +213,3 @@ class DiskPowerModel:
             # Coasting down through `rpm`.
             return spec.rpm_change_power(rpm + spec.rpm_step, rpm)
         raise ValueError(f"unknown disk state {state!r}")
-
-    def energy(self, timeline: StateTimeline) -> float:
-        """Total joules for a finalized timeline."""
-        return timeline.integrate(self.power_of)
-
-    def breakdown(self, timeline: StateTimeline) -> EnergyBreakdown:
-        """Per-family joules for a finalized timeline."""
-        result = EnergyBreakdown()
-        for iv in timeline.intervals():
-            joules = self.power_of(iv.state) * iv.duration
-            base = st.base_state(iv.state)
-            if base in (st.ACTIVE_READ, st.ACTIVE_WRITE):
-                result.active += joules
-            elif base == st.SEEK:
-                result.seek += joules
-            elif base == st.IDLE:
-                result.idle += joules
-            elif base == st.STANDBY:
-                result.standby += joules
-            elif base == st.SPIN_UP:
-                result.spin_up += joules
-            elif base == st.SPIN_DOWN:
-                result.spin_down += joules
-            elif base in (RPM_UP, RPM_DOWN):
-                result.rpm_change += joules
-            else:  # pragma: no cover - guarded by power_of
-                raise ValueError(f"unknown disk state {iv.state!r}")
-        return result

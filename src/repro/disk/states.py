@@ -3,9 +3,13 @@
 States are plain strings (cheap, readable in traces) but the canonical set
 lives here so policies, the drive model and the metrics layer agree.  A
 multi-speed disk encodes its RPM level in the state name, e.g. ``idle@7200``.
+The label builders and :func:`base_state` are memoised: the drive builds a
+label per service and the metrics layer strips one per interval.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 __all__ = [
     "ACTIVE_READ",
@@ -35,17 +39,20 @@ SPIN_DOWN = "spin_down"
 RPM_CHANGE = "rpm_change"
 
 
+@cache
 def idle_at(rpm: int) -> str:
     """Idle state label for a multi-speed disk spinning at ``rpm``."""
     return f"{IDLE}@{rpm}"
 
 
+@cache
 def active_at(rpm: int, write: bool = False) -> str:
     """Active R/W state label at ``rpm``."""
     base = ACTIVE_WRITE if write else ACTIVE_READ
     return f"{base}@{rpm}"
 
 
+@cache
 def seek_at(rpm: int) -> str:
     """Seek state label at ``rpm``."""
     return f"{SEEK}@{rpm}"
@@ -58,6 +65,7 @@ def parse_rpm(state: str, default: int) -> int:
     return default
 
 
+@cache
 def base_state(state: str) -> str:
     """Strip any ``@rpm`` suffix."""
     return state.split("@", 1)[0]

@@ -92,16 +92,7 @@ def execute_point(
     """
     cfg = point.config
     if verify and point.scheme:
-        from ..analysis import RuntimeModel, verify_schedule
-
-        compiled = runner.compilation(point.workload, cfg)
-        report = verify_schedule(
-            compiled.trace,
-            compiled.book,
-            runtime=RuntimeModel.from_session_config(cfg.session_config()),
-            granularity=cfg.granularity,
-            include_lint=False,
-        )
+        report = runner.verification(point.workload, cfg)
         if report.has_errors:
             raise VerifyFailure(
                 point.label(), report.render_text(title=point.label())

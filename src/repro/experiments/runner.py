@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional
 from ..core.compiler import CompileResult, CompilerOptions, compile_schedule
 from ..core.slack import SlackOptions
 from ..ir.profiling import AccessTrace, trace_program
-from ..metrics.energy import breakdown_until, fleet_energy, idle_periods_until
+from ..metrics.energy import breakdown_until, idle_periods_until
 from ..metrics.idle import IdleCDF, idle_cdf
 from ..obs.base import Observability
 from ..power import (
@@ -33,6 +33,7 @@ from ..workloads import get_workload
 from .config import ExperimentConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..analysis.diagnostics import Report
     from ..exec.cache import ResultCache
 
 __all__ = [
@@ -92,6 +93,7 @@ class Runner:
         self.last_sim_stats: dict = {}
         self._traces: dict[tuple, AccessTrace] = {}
         self._compilations: dict[tuple, CompileResult] = {}
+        self._verifications: dict[tuple, "Report"] = {}
         self._runs: dict[tuple, RunResult] = {}
 
     # ------------------------------------------------------------------
@@ -111,11 +113,9 @@ class Runner:
             )
         return self._traces[key]
 
-    def compilation(
-        self, workload: str, config: Optional[ExperimentConfig] = None
-    ) -> CompileResult:
-        cfg = config or self.config
-        key = (
+    @staticmethod
+    def _compilation_key(workload: str, cfg: ExperimentConfig) -> tuple:
+        return (
             workload,
             cfg.n_clients,
             cfg.workload_scale,
@@ -126,6 +126,12 @@ class Runner:
             cfg.theta,
             cfg.max_slack,
         )
+
+    def compilation(
+        self, workload: str, config: Optional[ExperimentConfig] = None
+    ) -> CompileResult:
+        cfg = config or self.config
+        key = self._compilation_key(workload, cfg)
         if key not in self._compilations:
             trace = self.trace(workload, cfg)
             # Build the striping view the compiler schedules against.
@@ -146,6 +152,32 @@ class Runner:
                 trace.program, stripe_map, files, options, trace=trace
             )
         return self._compilations[key]
+
+    def verification(
+        self, workload: str, config: Optional[ExperimentConfig] = None
+    ) -> "Report":
+        """The static verifier's report on this workload's compiled schedule.
+
+        Verification reads the compilation, the runtime model and the
+        granularity — never the power policy — so every policy sharing a
+        compilation and runtime shares one report.  The report is what is
+        memoised, errors included.
+        """
+        from ..analysis import RuntimeModel, verify_schedule
+
+        cfg = config or self.config
+        runtime = RuntimeModel.from_session_config(cfg.session_config())
+        key = (self._compilation_key(workload, cfg), runtime, cfg.granularity)
+        if key not in self._verifications:
+            compiled = self.compilation(workload, cfg)
+            self._verifications[key] = verify_schedule(
+                compiled.trace,
+                compiled.book,
+                runtime=runtime,
+                granularity=cfg.granularity,
+                include_lint=False,
+            )
+        return self._verifications[key]
 
     # ------------------------------------------------------------------
     # Policy factory
@@ -244,9 +276,10 @@ class Runner:
         periods = [
             p for d in outcome.drives for p in idle_periods_until(d, horizon)
         ]
+        breakdowns = [breakdown_until(d, horizon) for d in outcome.drives]
         breakdown_total: dict[str, float] = {}
-        for drive in outcome.drives:
-            for state, joules in breakdown_until(drive, horizon).as_dict().items():
+        for breakdown in breakdowns:
+            for state, joules in breakdown.as_dict().items():
                 breakdown_total[state] = breakdown_total.get(state, 0.0) + joules
 
         return RunResult(
@@ -254,7 +287,7 @@ class Runner:
             policy=policy,
             scheme=scheme,
             execution_time=horizon,
-            energy_joules=fleet_energy(outcome.drives, horizon),
+            energy_joules=sum(b.total for b in breakdowns),
             idle_cdf=idle_cdf(periods),
             idle_periods=periods,
             energy_breakdown=breakdown_total,

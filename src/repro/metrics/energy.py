@@ -46,34 +46,43 @@ def energy_until(drive: Drive, horizon: float) -> float:
     return breakdown_until(drive, horizon).total
 
 
+#: Position of each base state in :class:`EnergyBreakdown`'s field order;
+#: anything else (both ramp directions) lands in ``rpm_change``.
+_BUCKET = {
+    st.ACTIVE_READ: 0,
+    st.ACTIVE_WRITE: 0,
+    st.SEEK: 1,
+    st.IDLE: 2,
+    st.STANDBY: 3,
+    st.SPIN_UP: 4,
+    st.SPIN_DOWN: 5,
+}
+_RPM_CHANGE_BUCKET = 6
+
+
 def breakdown_until(drive: Drive, horizon: float) -> EnergyBreakdown:
     """Per-state-family joules in ``[0, horizon]``.
 
     Uses the drive's *attached* power model — a drive carrying a
     customized model must break down under the same wattages it
     integrates under, or per-state numbers silently disagree with
-    :func:`energy_until`.
+    :func:`energy_until`.  This is the one timeline integrator: each
+    family accumulates its intervals' joules in timeline order.
     """
-    model = drive.power_model
-    result = EnergyBreakdown()
-    for iv in _clipped_intervals(drive, horizon):
-        joules = model.power_of(iv.state) * iv.duration
-        base = st.base_state(iv.state)
-        if base in (st.ACTIVE_READ, st.ACTIVE_WRITE):
-            result.active += joules
-        elif base == st.SEEK:
-            result.seek += joules
-        elif base == st.IDLE:
-            result.idle += joules
-        elif base == st.STANDBY:
-            result.standby += joules
-        elif base == st.SPIN_UP:
-            result.spin_up += joules
-        elif base == st.SPIN_DOWN:
-            result.spin_down += joules
-        else:
-            result.rpm_change += joules
-    return result
+    power_of = drive.power_model.power_of
+    buckets = [0.0] * 7
+    for iv in drive.timeline.intervals():
+        start = iv.start
+        if start >= horizon:
+            break
+        end = min(iv.end, horizon)
+        if end > start:
+            state = iv.state
+            joules = power_of(state) * (end - start)
+            buckets[
+                _BUCKET.get(st.base_state(state), _RPM_CHANGE_BUCKET)
+            ] += joules
+    return EnergyBreakdown(*buckets)
 
 
 def _family(state: str) -> str:

@@ -140,7 +140,7 @@ class Simulator:
     This class is the **heap kernel** — the reference implementation of
     the kernel interface.  Subclass kernels advertise themselves via the
     two class attributes below and may override the queue surface
-    (``schedule``, ``schedule_at_exact``, ``step``, ``run``, ``_peek``,
+    (``schedule``, ``schedule_at_exact``, ``step``, ``run``,
     ``_note_cancel``, ``pending_events``); everything else is inherited.
     """
 
@@ -253,21 +253,9 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when drained."""
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            time, _seq, event = heappop(heap)
-            if event.canceled:
-                self._canceled -= 1
-                continue
-            if time < self.now - 1e-12:
-                raise RuntimeError("event heap corrupted: time went backwards")
-            if time > self.now:
-                self.now = time
-            self._events_executed += 1
-            event.callback(*event.args)
-            return True
-        return False
+        executed = self._events_executed
+        self.run(max_events=1)
+        return self._events_executed != executed
 
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
@@ -277,27 +265,34 @@ class Simulator:
         ``until`` advances the clock to exactly that time if the simulation
         drains or passes it, matching the common "measure at horizon" idiom.
         """
+        # One pop per event: canceled entries are skipped inline, and the
+        # heap is re-read after every callback because a cancel inside it
+        # may compact the heap into a new list.
+        heappop = heapq.heappop
         executed = 0
-        while True:
-            nxt = self._peek()
-            if nxt is None:
-                break
+        heap = self._heap
+        while heap:
+            time, _seq, event = heap[0]
+            if event.canceled:
+                heappop(heap)
+                self._canceled -= 1
+                continue
             if max_events is not None and executed >= max_events:
                 return
-            if until is not None and nxt.time > until:
+            if until is not None and time > until:
                 self.now = until
                 return
-            self.step()
+            heappop(heap)
+            if time < self.now - 1e-12:
+                raise RuntimeError("event heap corrupted: time went backwards")
+            if time > self.now:
+                self.now = time
+            self._events_executed += 1
+            event.callback(*event.args)
             executed += 1
+            heap = self._heap
         if until is not None and self.now < until:
             self.now = until
-
-    def _peek(self) -> Optional[Event]:
-        heap = self._heap
-        while heap and heap[0][2].canceled:
-            heapq.heappop(heap)
-            self._canceled -= 1
-        return heap[0][2] if heap else None
 
     @property
     def pending_events(self) -> int:

@@ -8,7 +8,7 @@ A *kernel* is an event queue + clock satisfying the interface
     (``seq``) order.
 ``schedule_at_exact(time, cb, *args)``
     absolute-time scheduling with no float re-derivation of ``time``.
-``step() / run(until, max_events) / _peek()``
+``step() / run(until, max_events)``
     consumption, with the heap kernel's exact ``until``/``max_events``
     semantics.
 ``cancel / _note_cancel / pending_events``

@@ -1,13 +1,25 @@
 """Tests for the disk power model and energy breakdown."""
 
-import pytest
+import math
 
-from repro.disk import DiskPowerModel, EnergyBreakdown, TABLE2_DISK
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from repro.disk import DiskPowerModel, DiskRequest, EnergyBreakdown, TABLE2_DISK
 from repro.disk import states as st
 from repro.disk.power import RPM_DOWN, RPM_UP
-from repro.sim import StateTimeline
+from repro.power import SimpleSpinDown
+from repro.sim import Simulator, StateTimeline
 
 from conftest import drain, make_drive, multispeed_fast_spec, submit_read
+
+
+def drive_with_timeline(timeline: StateTimeline):
+    """A Table II drive whose recorded timeline is ``timeline``."""
+    drive = make_drive(Simulator(), TABLE2_DISK)
+    drive.timeline = timeline
+    return drive
 
 
 class TestPowerOf:
@@ -47,9 +59,8 @@ class TestEnergyIntegration:
         tl.transition(10.0, "active_read@12000")
         tl.transition(12.0, st.STANDBY)
         tl.finalize(20.0)
-        model = DiskPowerModel(TABLE2_DISK)
         expected = 10 * 17.1 + 2 * 36.6 + 8 * 7.2
-        assert model.energy(tl) == pytest.approx(expected)
+        assert drive_with_timeline(tl).energy() == pytest.approx(expected)
 
     def test_breakdown_families(self):
         tl = StateTimeline("d", "idle@12000")
@@ -59,14 +70,15 @@ class TestEnergyIntegration:
         tl.transition(18.0, st.STANDBY)
         tl.transition(20.0, st.SPIN_UP)
         tl.finalize(36.0)
-        b = DiskPowerModel(TABLE2_DISK).breakdown(tl)
+        drive = drive_with_timeline(tl)
+        b = drive.energy_breakdown()
         assert b.idle == pytest.approx(5 * 17.1)
         assert b.seek == pytest.approx(1 * 32.1)
         assert b.active == pytest.approx(2 * 36.6)
         assert b.spin_down == pytest.approx(10 * 10.0)
         assert b.standby == pytest.approx(2 * 7.2)
         assert b.spin_up == pytest.approx(16 * 44.8)
-        assert b.total == pytest.approx(DiskPowerModel(TABLE2_DISK).energy(tl))
+        assert b.total == drive.energy()
 
     def test_breakdown_add(self):
         a = EnergyBreakdown(active=1.0, idle=2.0)
@@ -91,7 +103,7 @@ class TestEnergyIntegration:
         b = drive.energy_breakdown()
         assert b.active > 0
         assert b.seek >= 0
-        assert drive.energy() == pytest.approx(b.total)
+        assert drive.energy() == b.total
 
     def test_multispeed_run_has_rpm_energy(self, sim):
         drive = make_drive(sim, multispeed_fast_spec())
@@ -100,3 +112,46 @@ class TestEnergyIntegration:
         drive.finalize()
         b = drive.energy_breakdown()
         assert b.rpm_change > 0
+
+
+#: One request: (arrival gap s, lba, nbytes, write).
+_requests = hst.tuples(
+    hst.floats(0.0, 4.0, allow_nan=False),
+    hst.integers(0, 2**36),
+    hst.integers(512, 4 * 2**20),
+    hst.booleans(),
+)
+
+
+class TestDriveEnergyIsItsBreakdown:
+    """``Drive.energy`` used to re-integrate the timeline with a plain
+    ``sum`` while the families ``fsum`` to their total, so the two
+    disagreed in the last bits on most request streams."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        hst.lists(_requests, min_size=1, max_size=40),
+        hst.booleans(),
+        hst.booleans(),
+    )
+    def test_energy_equals_breakdown_total(self, stream, spin_down, multispeed):
+        sim = Simulator()
+        drive = make_drive(
+            sim, multispeed_fast_spec() if multispeed else None
+        )
+        if spin_down:
+            drive.attach_policy(SimpleSpinDown(timeout=0.5))
+        elif multispeed:
+            drive.request_rpm(3_600)
+        at = 0.0
+        for gap, lba, nbytes, write in stream:
+            at += gap
+            sim.schedule_at(
+                at, drive.submit, DiskRequest(lba=lba, nbytes=nbytes, is_write=write)
+            )
+        drain(sim, drive)
+        breakdown = drive.energy_breakdown()
+        families = breakdown.as_dict()
+        total = families.pop("total")
+        assert drive.energy() == breakdown.total == total
+        assert total == math.fsum(families.values())

@@ -168,6 +168,78 @@ class TestVerifyGating:
         assert result[point].prefetches > 0
 
 
+class TestVerifyMemo:
+    """Verification depends on the compiled schedule, the runtime model
+    and the granularity, never on the power policy: one report per
+    compilation and runtime, reused by every scheme point sharing them."""
+
+    @staticmethod
+    def count_verifies(monkeypatch):
+        import repro.analysis
+
+        calls = []
+        real = repro.analysis.verify_schedule
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["runtime"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.analysis, "verify_schedule", counting)
+        return calls
+
+    def test_failing_report_fails_every_sharing_point(self, monkeypatch):
+        """The memo holds the report, not a pass: every policy on a bad
+        compilation raises, each under its own label."""
+        calls = self.count_verifies(monkeypatch)
+        runner = Runner(TestVerifyGating.BAD)
+        for policy in ("simple", "prediction", "history", "staggered"):
+            point = RunPoint("madbench2", policy, True, TestVerifyGating.BAD)
+            with pytest.raises(VerifyFailure) as exc:
+                execute_point(runner, point, verify=True)
+            assert exc.value.label == point.label()
+            assert "CAP001" in exc.value.report_text
+        assert len(calls) == 1
+
+    def test_runtime_change_is_verified_separately(self, monkeypatch):
+        """Buffer capacity is not part of the compilation key, so two
+        points share a compilation but not a verification."""
+        calls = self.count_verifies(monkeypatch)
+        runner = Runner(TINY)
+        good = RunPoint("madbench2", "history", True, TINY)
+        bad = RunPoint("madbench2", "history", True, TestVerifyGating.BAD)
+        assert execute_point(runner, good, verify=True).prefetches > 0
+        with pytest.raises(VerifyFailure):
+            execute_point(runner, bad, verify=True)
+        assert runner.compilation("madbench2", TINY) is runner.compilation(
+            "madbench2", TestVerifyGating.BAD
+        )
+        assert [rt.buffer_capacity_blocks for rt in calls] == [
+            TINY.buffer_capacity_blocks,
+            1,
+        ]
+
+    def test_one_polyhedral_retrace_per_schedule(self, monkeypatch):
+        """Four scheme policies on an affine workload: one profiling
+        trace for the compiler and one for the verifier's dependence
+        oracle (it used to be one per policy)."""
+        import repro.experiments.runner
+        import repro.ir.dependence
+
+        traces = []
+        for module in (repro.experiments.runner, repro.ir.dependence):
+            real = module.trace_program
+
+            def counting(*args, real=real, **kwargs):
+                traces.append(args[0].name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "trace_program", counting)
+        runner = Runner(TINY)
+        for policy in ("simple", "prediction", "history", "staggered"):
+            execute_point(runner, RunPoint("sar", policy, True, TINY), verify=True)
+        assert len(traces) == 2
+
+
 class TestRunnerKeying:
     def test_to_key_enumerates_every_field(self):
         from dataclasses import fields

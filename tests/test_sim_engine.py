@@ -1,8 +1,10 @@
 """Tests for the discrete-event simulation kernel."""
 
+import heapq
+
 import pytest
 
-from repro.sim import AllOf, AnyOf, Signal, Timeout
+from repro.sim import AllOf, AnyOf, Signal, Simulator, Timeout
 from repro.sim.events import Event
 
 
@@ -160,6 +162,138 @@ class TestPendingCounter:
         sim.run()
         assert sim.pending_events == 0
         assert sim.now == 2.0
+
+
+def legacy_run(sim, until=None, max_events=None):
+    """The event loop as it was before it was folded into one pop per
+    event: peek past canceled entries, check the bounds, then pop and
+    execute the event at the top."""
+
+    def peek():
+        heap = sim._heap
+        while heap and heap[0][2].canceled:
+            heapq.heappop(heap)
+            sim._canceled -= 1
+        return heap[0][2] if heap else None
+
+    executed = 0
+    while True:
+        nxt = peek()
+        if nxt is None:
+            break
+        if max_events is not None and executed >= max_events:
+            return
+        if until is not None and nxt.time > until:
+            sim.now = until
+            return
+        _time, _seq, event = heapq.heappop(sim._heap)
+        if event.time > sim.now:
+            sim.now = event.time
+        sim._events_executed += 1
+        event.callback(*event.args)
+        executed += 1
+    if until is not None and sim.now < until:
+        sim.now = until
+
+
+def compaction_scenario(sim, log):
+    """Same-time ties, then a callback that cancels far more than
+    ``_COMPACT_MIN`` pending events (compacting the heap more than once
+    mid-run) and schedules more; the last event cancels the one after it,
+    so the heap ends holding only a canceled entry."""
+    doomed = []
+    heaps = []
+
+    def note(tag):
+        log.append((sim.now, tag, sim.pending_events))
+
+    def mass_cancel():
+        note("cancel")
+        heaps.append(sim._heap)
+        for event in doomed:
+            event.cancel()
+        heaps.append(sim._heap)
+        sim.schedule(0.0, note, "after-cancel")
+        sim.schedule(0.5, note, "rescheduled")
+
+    for i in range(6):
+        sim.schedule(float(i), note, f"a{i}")
+        sim.schedule(float(i), note, f"b{i}")
+    sim.schedule(1.0, mass_cancel)
+    doomed.extend(
+        sim.schedule(2.0 + i / 100, note, f"doomed{i}") for i in range(200)
+    )
+    sim.schedule(1.5, note, "survivor")
+    last = sim.schedule(8.0, note, "never")
+    sim.schedule(7.0, last.cancel)
+    return heaps
+
+
+class TestRunLoop:
+    """``run`` pops each event once; it must keep the ``(time, seq)``
+    order, the exact pending counter and the ``until``/``max_events``
+    stopping points of the peek-then-step loop it replaced."""
+
+    def test_compaction_mid_run(self, sim):
+        log = []
+        heaps = compaction_scenario(sim, log)
+        sim.run()
+        # The mass cancel compacted the heap into a new list mid-run.
+        assert heaps[0] is not heaps[1]
+        assert len(sim._heap) == 0 and sim.pending_events == 0
+        tags = [tag for _t, tag, _p in log]
+        assert tags == [
+            "a0", "b0", "a1", "b1", "cancel", "after-cancel", "survivor",
+            "rescheduled", "a2", "b2", "a3", "b3", "a4", "b4", "a5", "b5",
+        ]
+        times = [t for t, _tag, _p in log]
+        assert times == sorted(times)
+        # pending_events seen inside each callback: 216 scheduled, minus
+        # those already run, minus the 200 canceled, plus the 2 scheduled
+        # by the canceling callback.  The last two are the 7.0 canceler
+        # and the 8.0 event it cancels.
+        assert [p for _t, _tag, p in log] == [
+            215, 214, 213, 212, 211, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2,
+        ]
+        assert sim.events_executed == len(log) + 1
+
+    @pytest.mark.parametrize(
+        "until, max_events",
+        [
+            (None, None),
+            (0.0, None),
+            (1.0, None),
+            (1.5, None),
+            (2.0, None),
+            (7.0, None),
+            (7.5, None),
+            (100.0, None),
+            (None, 0),
+            (None, 1),
+            (None, 5),
+            (None, 6),
+            (None, 17),
+            (None, 18),
+            (3.0, 7),
+            (100.0, 17),
+        ],
+    )
+    def test_stops_where_the_peek_step_loop_stopped(self, until, max_events):
+        def outcome(run):
+            sim = Simulator()
+            log = []
+            compaction_scenario(sim, log)
+            run(sim, until, max_events)
+            rest = []
+            sim.schedule(0.0, rest.append, "resumed")
+            sim.run()
+            return (
+                log, sim.now, sim.events_executed, sim.pending_events, rest,
+            )
+
+        assert outcome(
+            lambda sim, u, m: sim.run(until=u, max_events=m)
+        ) == outcome(legacy_run)
 
 
 class TestProcesses:

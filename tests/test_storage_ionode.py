@@ -142,6 +142,6 @@ class TestRaidIntegration:
         node.write(0, 64 * KB, lambda: None)
         sim.run()
         node.finalize()
-        assert node.energy() == pytest.approx(
-            sum(d.energy() for d in node.drives)
+        assert node.energy() == sum(
+            d.energy_breakdown().total for d in node.drives
         )
