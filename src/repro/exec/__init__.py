@@ -27,7 +27,6 @@ Layout:
 from .bench import (
     QUICK_FIGURES,
     compare_with_previous,
-    kernel_shootout,
     profile_grid,
     run_bench,
     write_bench_record,
@@ -46,7 +45,6 @@ from .grid import (
     all_figure_points,
     figure_points,
     with_fault_plan,
-    with_kernel,
 )
 from .journal import (
     WAL_SCHEMA_VERSION,
@@ -103,11 +101,9 @@ __all__ = [
     "figure_points",
     "all_figure_points",
     "with_fault_plan",
-    "with_kernel",
     "GRID_FIGURES",
     "QUICK_FIGURES",
     "run_bench",
-    "kernel_shootout",
     "profile_grid",
     "compare_with_previous",
     "write_bench_record",

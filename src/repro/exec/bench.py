@@ -12,12 +12,9 @@ timeout/worker-death/quarantine tallies, failed point labels — all zero/
 empty on a clean run), so BENCH JSON stays comparable under partial
 failure instead of the record simply not existing.
 
-Besides wall-clock, the record carries kernel-level throughput: each grid
+Besides wall-clock, the record carries simulator throughput: each grid
 point is measured once serially (``point_stats``: events executed,
-seconds, events/sec, the simulation kernel's label) and a fixed *kernel
-shootout* races all registered kernels on the affine-heavy ``sweep``
-workload, asserting their results stay bit-identical while recording the
-speedups (the number the CI kernel gate bounds).  Records in an output
+seconds, events/sec, the simulation kernel's label).  Records in an output
 directory form a trajectory: :func:`compare_with_previous` diffs a fresh
 record against the latest committed one and merely warns when the
 trajectory is empty.
@@ -39,15 +36,12 @@ from ..experiments.runner import Runner
 from .cache import ResultCache
 from .executor import ExperimentExecutor, RunPoint, execute_point
 from .grid import GRID_FIGURES, all_figure_points
-from .serialize import SCHEMA_VERSION, canonical_dumps, run_result_to_dict
+from .serialize import SCHEMA_VERSION
 from .supervise import CampaignSupervisor, SupervisorPolicy
 
 __all__ = [
     "QUICK_FIGURES",
-    "SHOOTOUT_WORKLOAD",
-    "SHOOTOUT_SCALE",
     "run_bench",
-    "kernel_shootout",
     "profile_grid",
     "write_bench_record",
     "latest_bench_record",
@@ -57,17 +51,6 @@ __all__ = [
 #: Small but representative subset for CI smoke runs: baselines plus a
 #: scheme compile + full policy grid for one figure.
 QUICK_FIGURES = ("table3", "fig12a", "fig12b", "fig12c")
-
-#: The kernel shootout always runs this (workload, scale): ``sweep`` is
-#: the affine-heavy speedup probe (long certified compute phases for the
-#: analytic kernel), and the fixed scale keeps shootout numbers comparable
-#: PR-over-PR regardless of what ``--scale`` the grid passes used.  2.0
-#: makes the measured run long enough (~5×10^5 events, seconds of
-#: wall-clock per kernel) that neither per-point fixed costs nor
-#: scheduler noise drown the kernels being compared.
-SHOOTOUT_WORKLOAD = "sweep"
-SHOOTOUT_SCALE = 2.0
-
 
 def _time_serial(points: Sequence[RunPoint], verify: bool) -> float:
     """One cold serial pass through the grid."""
@@ -174,7 +157,7 @@ def _envelope_widths(cfg: ExperimentConfig, workloads: Sequence[str]) -> list:
 
 
 def _point_throughput(points: Sequence[RunPoint]) -> tuple[list[dict], float]:
-    """Per-point kernel throughput: one measured serial pass.
+    """Per-point simulator throughput: one measured serial pass.
 
     Returns ``(rows, aggregate_events_per_sec)``.  Each point runs once
     through :meth:`Runner.measure` (memo- and cache-bypassing, trace and
@@ -190,104 +173,15 @@ def _point_throughput(points: Sequence[RunPoint]) -> tuple[list[dict], float]:
         )
         rows.append({
             "point": point.label(),
-            "kernel": stats["kernel"],
+            "kernel": point.config.kernel,
             "events": stats["events"],
             "seconds": round(stats["seconds"], 4),
             "events_per_sec": round(stats["events_per_sec"], 1),
-            "slots_collapsed": stats["slots_collapsed"],
         })
         total_events += stats["events"]
         total_seconds += stats["seconds"]
     aggregate = total_events / total_seconds if total_seconds > 0 else 0.0
     return rows, aggregate
-
-
-def kernel_shootout(
-    config: Optional[ExperimentConfig] = None, repeats: int = 3
-) -> dict:
-    """Race every registered kernel on the shootout point; assert identity.
-
-    Each kernel simulates ``sweep`` at :data:`SHOOTOUT_SCALE` ``repeats``
-    times with the best wall-clock kept — the comparison wants each
-    kernel's honest capability, not scheduler noise — and the repeats are
-    *interleaved* across kernels (heap, analytic, heap, …) so slow
-    machine-throughput drift hits every kernel alike instead of whichever
-    one happened to run last.  The distilled results must be
-    bit-identical across kernels — that is the kernels' contract, and a
-    benchmark quietly racing kernels that disagree would be meaningless —
-    so any divergence raises ``RuntimeError`` instead of producing a
-    record.
-    """
-    from ..sim.kernels import kernel_names
-
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1: {repeats}")
-    base = (config or default_config()).scaled(
-        workload_scale=SHOOTOUT_SCALE, fault_plan=None
-    )
-    names = kernel_names()
-    runners = {name: Runner(base.scaled(kernel=name)) for name in names}
-    best: dict[str, dict] = {}
-    per_rep: dict[str, list[float]] = {name: [] for name in names}
-    canonical: dict[str, str] = {}
-    for _ in range(repeats):
-        for kernel in names:
-            result, stats = runners[kernel].measure(
-                SHOOTOUT_WORKLOAD, "simple", False
-            )
-            per_rep[kernel].append(stats["seconds"])
-            if kernel not in best or stats["seconds"] < best[kernel]["seconds"]:
-                best[kernel] = stats
-            canonical[kernel] = canonical_dumps(run_result_to_dict(result))
-    kernels = {
-        kernel: {
-            "seconds": round(best[kernel]["seconds"], 4),
-            "events": best[kernel]["events"],
-            "events_per_sec": round(best[kernel]["events_per_sec"], 1),
-            "effective_events_per_sec": round(
-                best[kernel]["effective_events_per_sec"], 1
-            ),
-            "slots_collapsed": best[kernel]["slots_collapsed"],
-        }
-        for kernel in names
-    }
-    reference = canonical["heap"]
-    for kernel, doc in canonical.items():
-        if doc != reference:
-            raise RuntimeError(
-                f"kernel {kernel!r} diverged from the heap kernel on the "
-                f"shootout point ({SHOOTOUT_WORKLOAD} @ {SHOOTOUT_SCALE}) — "
-                "results must be bit-identical"
-            )
-    heap_seconds = kernels["heap"]["seconds"]
-    for kernel, row in kernels.items():
-        row["speedup_vs_heap"] = round(
-            heap_seconds / row["seconds"] if row["seconds"] > 0 else 0.0, 2
-        )
-        # Paired speedup: ratio within each interleaved repeat, median
-        # kept.  Repeats run back to back, so machine-throughput drift
-        # cancels inside a pair — this is the robust ordering statistic
-        # the CI kernel gate consumes (best-of seconds are each kernel's
-        # headline, but their ratio inherits both tails' noise).
-        ratios = sorted(
-            h / k
-            for h, k in zip(per_rep["heap"], per_rep[kernel])
-            if k > 0
-        )
-        mid = len(ratios) // 2
-        median = (
-            ratios[mid]
-            if len(ratios) % 2
-            else (ratios[mid - 1] + ratios[mid]) / 2
-        )
-        row["paired_speedup_vs_heap"] = round(median, 3)
-    return {
-        "workload": SHOOTOUT_WORKLOAD,
-        "scale": SHOOTOUT_SCALE,
-        "repeats": repeats,
-        "identical": True,
-        "kernels": kernels,
-    }
 
 
 def profile_grid(
@@ -489,7 +383,6 @@ def run_bench(
     cache_dir: Optional[Path] = None,
     trace_path: Optional[Path] = None,
     repeats: int = 1,
-    shootout: bool = True,
     server: bool = True,
     tournament: bool = True,
 ) -> dict:
@@ -542,13 +435,6 @@ def run_bench(
     point_stats, aggregate_eps = _point_throughput(points)
     record["point_stats"] = point_stats
     record["events_per_sec"] = round(aggregate_eps, 1)
-
-    if shootout:
-        # The shootout is cheap (one workload, two kernels) but feeds a
-        # CI ordering gate, so it always gets enough repeats to be stable.
-        record["kernel_shootout"] = kernel_shootout(
-            cfg, repeats=max(repeats, 3)
-        )
 
     envelopes = _envelope_widths(
         cfg, sorted({point.workload for point in points})

@@ -22,6 +22,17 @@ __all__ = ["ExperimentConfig", "default_config", "bench_scale"]
 KB = 1024
 MB = 1024 * KB
 
+#: Annotation -> (check, description) for the scalar config fields.
+#: ``bool`` is an ``int`` subclass, so the numeric checks exclude it.
+_FIELD_CHECKS = {
+    "int": (lambda v: type(v) is int, "an int"),
+    "float": (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+        "a number",
+    ),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -64,11 +75,9 @@ class ExperimentConfig:
     # Workload scaling.
     workload_scale: float = 1.0
 
-    # Simulation kernel (see ``repro.sim.kernels``).  All kernels produce
-    # bit-identical results; the field still participates in ``to_key()``
-    # (as every dataclass field does) so memo tables, the result cache
-    # and campaign journals can never silently mix kernels — a kernel
-    # regression must be observable, not masked by a stale cache hit.
+    # Simulation engine.  The heap simulator is the only one, so "heap"
+    # is the only legal value; the field stays because it is part of
+    # ``to_key()``, and dropping it would move every cache digest.
     kernel: str = "heap"
 
     # Fault injection (``None`` = the perfect stack).  Part of the config
@@ -78,13 +87,29 @@ class ExperimentConfig:
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
-        from ..sim.kernels import KERNELS
-
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown simulation kernel {self.kernel!r}; "
-                f"available: {', '.join(KERNELS)}"
-            )
+        # One type check per field: a wrongly typed override (a served
+        # JSON string, list or bool) is refused here, not deep in a run.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "kernel":
+                if value != "heap":
+                    raise ValueError(
+                        f"unknown simulation kernel {value!r}; "
+                        "the only kernel is 'heap'"
+                    )
+            elif f.name == "fault_plan":
+                if value is not None and not isinstance(value, FaultPlan):
+                    raise ValueError(
+                        "config field 'fault_plan' must be a FaultPlan "
+                        f"or None, got {value!r}"
+                    )
+            else:
+                check, expected = _FIELD_CHECKS[f.type]
+                if not check(value):
+                    raise ValueError(
+                        f"config field {f.name!r} must be {expected}, "
+                        f"got {value!r}"
+                    )
 
     def disk_spec(self, multispeed: bool) -> DiskSpec:
         """Table II single-speed or DRPM disk."""
@@ -100,7 +125,6 @@ class ExperimentConfig:
             buffer_capacity_blocks=self.buffer_capacity_blocks,
             scheduler_min_lead=self.scheduler_min_lead,
             reorder=self.reorder,
-            kernel=self.kernel,
         )
 
     def scaled(self, **changes) -> "ExperimentConfig":

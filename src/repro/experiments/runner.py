@@ -85,11 +85,9 @@ class Runner:
         self.config = config
         self.cache = cache
         self.simulations = 0
-        #: Kernel-side statistics of the most recent ``_simulate`` call
-        #: (kernel name, events executed, collapsed-phase counters).
-        #: Deliberately *not* part of :class:`RunResult`: event counts
-        #: differ across kernels by design, while RunResult must stay
-        #: bit-identical.
+        #: Simulator statistics of the most recent ``_simulate`` call
+        #: (events executed).  Deliberately *not* part of
+        #: :class:`RunResult`, which holds only distilled outcomes.
         self.last_sim_stats: dict = {}
         self._traces: dict[tuple, AccessTrace] = {}
         self._compilations: dict[tuple, CompileResult] = {}
@@ -260,13 +258,7 @@ class Runner:
             faults=cfg.fault_plan,
         )
         outcome = session.run()
-        sim = session.sim
-        self.last_sim_stats = {
-            "kernel": sim.kernel_name,
-            "events": sim.events_executed,
-            "phases_collapsed": getattr(sim, "phases_collapsed", 0),
-            "slots_collapsed": getattr(sim, "slots_collapsed", 0),
-        }
+        self.last_sim_stats = {"events": session.sim.events_executed}
         horizon = outcome.execution_time
         if obs is not None and obs.metrics is not None:
             from ..obs.collect import collect_session_metrics
@@ -330,13 +322,12 @@ class Runner:
         """Simulate one point unconditionally; return ``(result, stats)``.
 
         The benchmark's events/sec probe: bypasses the memo table and the
-        disk cache (a cached result has no kernel timeline to measure),
+        disk cache (a cached result has no event timeline to measure),
         warms the trace/compile memos first so only the simulation is
-        timed, and returns the kernel statistics alongside the result —
-        ``kernel``, ``events``, ``seconds``, ``events_per_sec`` and the
-        analytic kernel's collapse counters.  The result is bit-identical
-        to :meth:`run`'s and is *not* written back to the cache (measured
-        passes must stay repeatable-cold).
+        timed, and returns the simulator statistics alongside the result —
+        ``events``, ``seconds`` and ``events_per_sec``.  The result is
+        bit-identical to :meth:`run`'s and is *not* written back to the
+        cache (measured passes must stay repeatable-cold).
         """
         import time
 
@@ -351,14 +342,6 @@ class Runner:
         stats["seconds"] = elapsed
         stats["events_per_sec"] = (
             stats["events"] / elapsed if elapsed > 0 else 0.0
-        )
-        # Equal-work throughput: collapsed slots stand in for the Timeout
-        # events the DES would have executed, so kernels compare on the
-        # same denominator.
-        stats["effective_events_per_sec"] = (
-            (stats["events"] + stats["slots_collapsed"]) / elapsed
-            if elapsed > 0
-            else 0.0
         )
         return result, stats
 

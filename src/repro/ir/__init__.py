@@ -7,11 +7,7 @@ the profiling executor :func:`trace_program` for everything.
 """
 
 from .affine import Affine, as_affine, const, var
-from .dependence import (
-    AffineDependenceAnalyzer,
-    compute_phases,
-    solve_affine_equal,
-)
+from .dependence import AffineDependenceAnalyzer, solve_affine_equal
 from .profiling import AccessTrace, ProcessTrace, TracedIO, trace_program
 from .program import Compute, FileDecl, Loop, Program, Read, Write
 
@@ -32,5 +28,4 @@ __all__ = [
     "TracedIO",
     "AffineDependenceAnalyzer",
     "solve_affine_equal",
-    "compute_phases",
 ]

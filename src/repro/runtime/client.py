@@ -12,12 +12,12 @@ be wasted work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core.access import DataAccess
 from ..ir.profiling import ProcessTrace
 from ..sim.engine import Simulator
-from ..sim.events import ComputePhase, Timeout
+from ..sim.events import Timeout
 from .buffer import EntryState, GlobalBuffer
 from .clock import LocalClocks
 from .mpi_io import MPIIO
@@ -51,14 +51,10 @@ class ClientProcess:
         clocks: LocalClocks,
         buffer: Optional[GlobalBuffer] = None,
         accesses_by_seq: Optional[dict[int, DataAccess]] = None,
-        phase_runs: Optional[Sequence[tuple[int, int]]] = None,
     ):
         """``accesses_by_seq`` maps the trace's per-process I/O sequence
         numbers to their scheduled :class:`DataAccess` (present only when
-        the compiler scheme is active).  ``phase_runs`` is the analytic
-        kernel's certified list of I/O-free slot ranges ``[start, stop)``
-        to collapse (ascending, non-overlapping); the session passes it
-        only when collapsing is provably unobservable."""
+        the compiler scheme is active)."""
         self.sim = sim
         self.process_id = process_id
         self.trace = trace
@@ -66,7 +62,6 @@ class ClientProcess:
         self.clocks = clocks
         self.buffer = buffer
         self.accesses_by_seq = accesses_by_seq or {}
-        self.phase_runs = tuple(phase_runs or ())
         self.stats = ClientStats()
         self._tracer = sim.obs.tracer
         self._ios_by_slot: dict[int, list] = {}
@@ -76,47 +71,9 @@ class ClientProcess:
     # ------------------------------------------------------------------
     def run(self):
         """The simulation-process generator."""
-        runs = self.phase_runs
-        run_idx = 0
-        n_runs = len(runs)
-        n_slots = self.trace.n_slots
         costs = self.trace.slot_costs
         stats = self.stats
-        slot = 0
-        while slot < n_slots:
-            if run_idx < n_runs and runs[run_idx][0] == slot:
-                # Analytic fast path: the oracle certified [slot, stop)
-                # I/O-free, so the per-slot DES would execute exactly
-                # `advance; slots_executed += 1; t = t + cost` per slot,
-                # with one Timeout event per positive cost.  Replay that
-                # bookkeeping with the *identical* chained float
-                # additions, then jump to the final time in one event.
-                # With the scheme off nothing waits on the local clocks,
-                # so advancing them eagerly is unobservable.
-                stop = runs[run_idx][1]
-                run_idx += 1
-                # One clock jump stands in for the per-slot advances:
-                # each intermediate tick fires a restartable signal with
-                # zero waiters (no scheduler threads exist when collapse
-                # is eligible), so only the final value is observable.
-                self.clocks.advance(self.process_id, stop - 1)
-                stats.slots_executed += stop - slot
-                t = start_t = self.sim.now
-                ct = stats.compute_time
-                for s in range(slot, stop):
-                    cost = costs[s]
-                    if cost > 0:
-                        # Same ops, same order, as the per-slot path:
-                        # resume time is t + cost, measured delta is
-                        # (t + cost) - t, accumulated one slot at a time.
-                        nt = t + cost
-                        ct += nt - t
-                        t = nt
-                stats.compute_time = ct
-                if t > start_t:
-                    yield ComputePhase(t, stop - slot)
-                slot = stop
-                continue
+        for slot in range(self.trace.n_slots):
             self.clocks.advance(self.process_id, slot)
             stats.slots_executed += 1
             for io in self._ios_by_slot.get(slot, []):
@@ -129,7 +86,6 @@ class ClientProcess:
                 before = self.sim.now
                 yield Timeout(cost)
                 stats.compute_time += self.sim.now - before
-            slot += 1
         # Mark completion: local time passes the last slot so consumers of
         # our final writes unblock.
         self.clocks.advance(self.process_id, self.trace.n_slots)

@@ -22,9 +22,7 @@ from ..ir.profiling import AccessTrace
 from ..net.network import Network
 from ..obs.base import NULL_OBS, Observability
 from ..power.policy import PowerPolicy
-from ..ir.dependence import compute_phases
 from ..sim.engine import Simulator
-from ..sim.kernels import make_kernel
 from ..storage.filesystem import ParallelFileSystem
 from .buffer import GlobalBuffer
 from .client import ClientProcess
@@ -57,9 +55,6 @@ class SessionConfig:
     #: the scheme on — without scheduler threads there is nothing to
     #: reorder.
     reorder: bool = False
-    #: Simulation kernel (see :mod:`repro.sim.kernels`).  All kernels are
-    #: bit-identical in results; they differ only in wall-clock speed.
-    kernel: str = "heap"
 
 
 @dataclass
@@ -112,24 +107,8 @@ class Session:
         self.faults: Optional[FaultInjector] = None
         if faults is not None and faults.events:
             self.faults = FaultInjector(faults)
-        self.sim = make_kernel(config.kernel, obs=self.obs)
+        self.sim = Simulator(obs=self.obs)
         self.obs.tracer.bind_clock(self.sim)
-        # Analytic fast path: collapse certified I/O-free slot runs into
-        # single events.  Sound only when nothing can observe a client
-        # mid-phase: the kernel must opt in, the scheme must be off (with
-        # it on, scheduler threads wait on the local clocks *between*
-        # slots), no fault injector may perturb timing (an empty plan
-        # builds none, preserving the empty≡absent invariant), and the
-        # program must be affine so the oracle's phase plan is a proof,
-        # not a profile.
-        self.phase_plan: dict[int, list[tuple[int, int]]] = {}
-        if (
-            self.sim.supports_phase_collapse
-            and compile_result is None
-            and self.faults is None
-            and trace.program.is_affine
-        ):
-            self.phase_plan = compute_phases(trace)
         self.pfs = ParallelFileSystem.build(
             self.sim,
             n_nodes=config.n_ionodes,
@@ -213,7 +192,6 @@ class Session:
                 self.clocks,
                 buffer=self.buffer,
                 accesses_by_seq=accesses_by_proc_seq.get(pid, {}),
-                phase_runs=self.phase_plan.get(pid),
             )
             self.clients.append(client)
             self.sim.process(client.run(), name=f"client{pid}")

@@ -1,22 +1,12 @@
-"""The discrete-event simulation engine and the reference *kernel*.
+"""The discrete-event simulation engine.
 
 :class:`Simulator` owns the event queue and the simulation clock.  Actors
 are either plain scheduled callbacks (:meth:`Simulator.schedule`) or
 cooperative *processes* — Python generators driven by the engine that
-yield :class:`~repro.sim.events.Timeout`,
-:class:`~repro.sim.events.ComputePhase`, :class:`~repro.sim.events.Signal`,
+yield :class:`~repro.sim.events.Timeout`, :class:`~repro.sim.events.Signal`,
 ``AllOf`` or ``AnyOf`` instances to block.
 
 The engine is deterministic: simultaneous events fire in scheduling order.
-
-:class:`Simulator` doubles as the reference implementation of the *kernel
-interface* — the contract every interchangeable event kernel satisfies
-(see :mod:`repro.sim.kernels` for the registry and the contract's terms).
-The one alternative kernel, :class:`~repro.sim.analytic.AnalyticSimulator`,
-subclasses it and keeps the queue machinery as is; it only opts in to
-collapsed compute phases.  Everything — queue, process semantics,
-signals, cancellation bookkeeping — is shared, which is what makes
-bit-identical interchange tractable to prove.
 """
 
 from __future__ import annotations
@@ -25,7 +15,7 @@ import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..obs.base import NULL_OBS, Observability
-from .events import AllOf, AnyOf, ComputePhase, Event, Signal, Timeout
+from .events import AllOf, AnyOf, Event, Signal, Timeout
 
 __all__ = ["Simulator", "SimProcess"]
 
@@ -63,9 +53,6 @@ class SimProcess:
         sim = self.sim
         if isinstance(yielded, Timeout):
             sim.schedule(yielded.delay, self._step, None)
-        elif isinstance(yielded, ComputePhase):
-            sim.schedule_at_exact(yielded.resume_at, self._step, None)
-            sim._note_phase(yielded)
         elif isinstance(yielded, Signal):
             if yielded.fired:
                 # Already fired: resume immediately (same timestamp).
@@ -136,21 +123,7 @@ class Simulator:
     events stay in the heap (cancel is O(1)) and are skipped on pop; an
     exact live-event counter plus lazy compaction keep
     :attr:`pending_events` O(1) and bound the garbage the heap can carry.
-
-    This class is the **heap kernel** — the reference implementation of
-    the kernel interface.  Subclass kernels advertise themselves via the
-    two class attributes below and may override the queue surface
-    (``schedule``, ``schedule_at_exact``, ``step``, ``run``,
-    ``_note_cancel``, ``pending_events``); everything else is inherited.
     """
-
-    #: Registry name of this kernel implementation.
-    kernel_name = "heap"
-    #: Whether clients may collapse affine compute phases into single
-    #: :class:`~repro.sim.events.ComputePhase` events on this kernel.
-    #: Every kernel *executes* ComputePhase correctly; only kernels that
-    #: opt in here ask clients to emit them.
-    supports_phase_collapse = False
 
     __slots__ = (
         "now",
@@ -218,9 +191,9 @@ class Simulator:
         """Schedule at absolute ``time`` with **no** float re-derivation.
 
         :meth:`schedule_at` computes ``now + (time - now)``, which is not
-        ``time`` in floating point.  The analytic fast path needs the
-        client's chained-sum target delivered bit-exactly, so this
-        primitive stores ``time`` verbatim in the event.
+        ``time`` in floating point.  A drive schedules one completion per
+        service at the float its seek-then-transfer chain would reach, so
+        this primitive stores ``time`` verbatim in the event.
         """
         if time < self.now:
             raise ValueError(
@@ -229,9 +202,6 @@ class Simulator:
         event = Event(time, callback, args, sim=self)
         heapq.heappush(self._heap, (event.time, event.seq, event))
         return event
-
-    def _note_phase(self, phase: ComputePhase) -> None:
-        """Bookkeeping hook for collapsed compute phases (no-op here)."""
 
     def process(self, gen: Generator, name: str = "") -> SimProcess:
         """Register a generator as a simulation process, starting now."""

@@ -30,11 +30,20 @@ class TestParser:
             build_parser().parse_args(["run", "--app", "doom"])
 
     def test_retired_calendar_kernel_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(
-                ["run", "--app", "sar", "--kernel", "calendar"]
-            )
-        assert exc.value.code == 2
+        """No subcommand takes ``--kernel`` any more: the retired
+        calendar and analytic kernels are usage errors everywhere."""
+        commands = (
+            ["run", "--app", "sar"],
+            ["figure", "fig12c"],
+            ["bench"],
+            ["tournament"],
+            ["serve"],
+        )
+        for command in commands:
+            for kernel in ("calendar", "analytic"):
+                with pytest.raises(SystemExit) as exc:
+                    build_parser().parse_args(command + ["--kernel", kernel])
+                assert exc.value.code == 2, (command, kernel)
 
     def test_every_registered_figure_parses(self):
         parser = build_parser()
@@ -129,29 +138,21 @@ class TestCommands:
         assert record["kernel"] == "heap"
         assert record["events_per_sec"] > 0
         assert len(record["point_stats"]) == record["points"]
-        shootout = record["kernel_shootout"]
-        assert shootout["identical"] is True
-        assert set(shootout["kernels"]) == {"heap", "analytic"}
-        assert "kernel shootout" in text
         # First record in an empty output dir seeds the trajectory.
         assert "seeds the trajectory" in text
 
-    def test_bench_kernel_profile_no_shootout(self, tmp_path):
+    def test_bench_profile(self, tmp_path):
         import json
 
         code, text = run_cli(
             "bench", "--quick", "--jobs", "1", "--no-serial",
-            "--figures", "table3", "--kernel", "analytic",
-            "--no-shootout", "--profile", "5",
+            "--figures", "table3", "--profile", "5",
             "--output-dir", str(tmp_path),
         )
         assert code == 0
         record = json.loads(next(tmp_path.glob("BENCH_*.json")).read_text())
-        assert record["kernel"] == "analytic"
-        assert "kernel_shootout" not in record
-        assert all(
-            p["kernel"] == "analytic" for p in record["point_stats"]
-        )
+        assert record["kernel"] == "heap"
+        assert all(p["kernel"] == "heap" for p in record["point_stats"])
         # cProfile tables printed per point, never persisted.
         assert "tottime" in text
         assert "profile" in text

@@ -1,9 +1,9 @@
 """Tests for the ``repro bench`` record trajectory and profiling helpers.
 
-The expensive paths (full ``run_bench`` with kernel shootout) are
-exercised through the CLI smoke test; here we pin the pure record
-plumbing: picking the latest prior record, the warn-and-seed behavior on
-an empty trajectory, delta reporting, and the cProfile table shape.
+The expensive path (a full ``run_bench``) is exercised through the CLI
+smoke test; here we pin the pure record plumbing: picking the latest
+prior record, the warn-and-seed behavior on an empty trajectory, delta
+reporting, and the cProfile table shape.
 """
 
 import datetime
@@ -192,7 +192,7 @@ class TestParallelSpeedup:
         monkeypatch.setattr(bench.os, "cpu_count", lambda: 1)
         record = bench.run_bench(
             config=SMALL, figures=("table3",), jobs=2,
-            shootout=False, server=False, tournament=False,
+            server=False, tournament=False,
         )
         assert record["cpu_count"] == 1
         assert record["speedup"] is None

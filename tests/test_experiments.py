@@ -83,6 +83,38 @@ class TestConfig:
         assert sc.buffer_capacity_blocks == 99
         assert sc.n_ionodes == 8
 
+    def test_retired_calendar_kernel_rejected(self):
+        """The heap simulator is the only engine: every other kernel
+        name, retired or invented, is refused."""
+        assert ExperimentConfig().kernel == "heap"
+        for kernel in ("calendar", "analytic", "splay-tree"):
+            with pytest.raises(ValueError, match="unknown simulation kernel"):
+                ExperimentConfig(kernel=kernel)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"n_clients": "8"},
+            {"n_clients": [8]},
+            {"n_clients": True},
+            {"n_clients": 8.0},
+            {"delta": 1.5},
+            {"workload_scale": "0.05"},
+            {"workload_scale": False},
+            {"reorder": 1},
+            {"fault_plan": {"seed": 7, "events": []}},
+        ],
+    )
+    def test_wrongly_typed_field_rejected(self, changes):
+        with pytest.raises(ValueError, match="config field"):
+            ExperimentConfig().scaled(**changes)
+
+    def test_numeric_fields_accept_their_types(self):
+        cfg = ExperimentConfig(workload_scale=1, simple_timeout=2.5, delta=7)
+        assert (cfg.workload_scale, cfg.simple_timeout, cfg.delta) == (
+            1, 2.5, 7,
+        )
+
 
 class TestRunnerCaching:
     def test_trace_cached(self, runner):

@@ -118,12 +118,11 @@ class TestParsePoint:
                 "workload": "hf",
                 "policy": "history",
                 "scheme": True,
-                "config": {"delta": 40, "kernel": "analytic"},
+                "config": {"delta": 40},
             },
             TINY,
         )
         assert point.config.delta == 40
-        assert point.config.kernel == "analytic"
         assert point.config.workload_scale == TINY.workload_scale
 
     def test_fault_plan_override(self):
@@ -159,6 +158,11 @@ class TestParsePoint:
             {"workload": "sar", "config": "not a dict"},
             {"workload": "sar", "config": {"fault_plan": {"bogus": True}}},
             {"workload": "sar", "config": {"kernel": "calendar"}},
+            {"workload": "sar", "config": {"kernel": "analytic"}},
+            {"workload": "sar", "config": {"n_clients": "8"}},
+            {"workload": "sar", "config": {"n_clients": [8]}},
+            {"workload": "sar", "config": {"n_clients": True}},
+            {"workload": "sar", "config": {"delta": 1.5}},
         ],
     )
     def test_bad_submissions_are_400(self, doc):

@@ -487,3 +487,20 @@ class TestProcesses:
             ("a", 1.0), ("b", 1.5), ("a", 2.0), ("b", 3.0), ("a", 3.0),
             ("b", 4.5),
         ]
+
+
+class TestLazyWaiters:
+    def test_no_list_until_first_waiter(self):
+        sig = Signal("s")
+        assert sig.waiter_count == 0
+        assert sig._waiters is None
+        hits = []
+        sig.add_waiter(hits.append)
+        assert sig.waiter_count == 1
+        assert sig.fire("v") == [hits.append]
+
+    def test_fire_with_no_waiters_is_empty(self):
+        sig = Signal("s", restartable=True)
+        assert sig.fire(None) == ()
+        sig.reset()
+        assert sig.fire(None) == ()
