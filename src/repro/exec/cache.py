@@ -119,10 +119,22 @@ class ResultCache:
         scheme: bool,
     ) -> Optional[RunResult]:
         """The cached result for this exact point, or None (counted)."""
-        path = self.path_for(point_digest(config, workload, policy, scheme))
+        return self.read(point_digest(config, workload, policy, scheme))
+
+    def read(self, digest: str) -> Optional[RunResult]:
+        """The validated entry stored under ``digest``, or None (counted).
+
+        The one way to read an entry: a file that is not a current-schema
+        result document counts as invalid and a miss, exactly like an
+        absent one, and is quarantined.
+        """
+        path = self.path_for(digest)
         try:
             with path.open("r", encoding="utf-8") as fh:
-                result = run_result_from_dict(json.load(fh))
+                doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError("cache entry is not a JSON object")
+            result = run_result_from_dict(doc)
         except FileNotFoundError:
             self.stats.misses += 1
             return None

@@ -5,6 +5,8 @@ this module hand-rolls exactly the slice of HTTP/1.1 the server and the
 load generator need: request parsing (request line, headers,
 ``Content-Length`` bodies), keep-alive connections, fixed-length JSON
 responses, and ``Transfer-Encoding: chunked`` for the job event stream.
+Response documents may carry :class:`RawJson` fragments, which
+:func:`encode_json` splices in verbatim instead of re-encoding them.
 It is *not* a general HTTP implementation — no continuation lines, no
 trailers, no request chunking — and malformed input maps to a clean
 :class:`HttpError` (→ 400) instead of best-effort recovery.
@@ -43,6 +45,8 @@ __all__ = [
     "CircuitBreaker",
     "HttpRequest",
     "HttpResponse",
+    "RawJson",
+    "encode_json",
     "read_request",
     "write_response",
     "json_response",
@@ -230,10 +234,52 @@ async def write_response(
     await writer.drain()
 
 
+class RawJson:
+    """JSON text encoded once, spliced verbatim into any number of bodies.
+
+    Encode the value with ``json.dumps(value, sort_keys=True)``: a body
+    built by :func:`encode_json` is then byte-identical to encoding the
+    value in place.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+
+#: ``json.dumps(value, sort_keys=True)`` without building an encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _holds_raw(value: Any) -> bool:
+    if isinstance(value, RawJson):
+        return True
+    return isinstance(value, dict) and any(map(_holds_raw, value.values()))
+
+
+def encode_json(doc: Any) -> bytes:
+    """``json.dumps(doc, sort_keys=True)`` as UTF-8, :class:`RawJson` spliced.
+
+    Only dicts that hold a fragment are walked key by key, with the
+    encoder's own key order and separators; everything else is encoded
+    whole.
+    """
+    if isinstance(doc, RawJson):
+        return doc.data
+    if not _holds_raw(doc):
+        return _ENCODER.encode(doc).encode("utf-8")
+    items = b", ".join(
+        _ENCODER.encode(key).encode("utf-8") + b": " + encode_json(doc[key])
+        for key in sorted(doc)
+    )
+    return b"{" + items + b"}"
+
+
 def json_response(
     status: int, doc: Any, headers: Optional[dict[str, str]] = None
 ) -> HttpResponse:
-    body = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+    body = encode_json(doc) + b"\n"
     return HttpResponse(status=status, body=body, headers=dict(headers or {}))
 
 

@@ -44,7 +44,11 @@ Design points:
   ``server.chaos.*``; without a plan the serving path is untouched;
 * **idle-bounded waiting** — long-polls and event streams are capped by
   ``idle_timeout`` server-side, so abandoned clients cannot pin
-  connections through a graceful drain.
+  connections through a graceful drain;
+* **one resident copy per result** — a finished result is encoded once
+  per digest into a shared :class:`~repro.serve.http.RawJson` fragment,
+  reference-counted by the retained jobs that hold it, and spliced
+  verbatim into every poll, stream and fetch body.
 
 The event loop stays responsive because simulation happens off-loop:
 each batch runs in a worker thread (``asyncio.to_thread``), and inside
@@ -93,7 +97,7 @@ from ..exec.supervise import (
     SupervisorPolicy,
 )
 from ..experiments.config import ExperimentConfig
-from ..experiments.runner import POLICIES
+from ..experiments.runner import POLICIES, RunResult
 from ..faults.plan import FaultPlan
 from ..obs.metrics import MetricsRegistry
 from ..workloads import all_workloads
@@ -102,8 +106,10 @@ from .http import (
     HttpError,
     HttpRequest,
     HttpResponse,
+    RawJson,
     _head,
     encode_chunk,
+    encode_json,
     error_response,
     json_response,
     read_request,
@@ -114,6 +120,7 @@ __all__ = [
     "DEFAULT_TENANT",
     "ServerConfig",
     "Job",
+    "ResidentResults",
     "BatchOutcome",
     "QueueFull",
     "Draining",
@@ -272,7 +279,7 @@ class Job:
         self.submissions = 1
         self.requeues = 0
         self.error: Optional[str] = None
-        self.result: Optional[dict] = None
+        self.result: Optional[RawJson] = None  # shared, see ResidentResults
         self.enqueued_at = time.monotonic()  # det: serving latency measurement, not simulated state
         self.finished_at: Optional[float] = None
         self.done = asyncio.Event()
@@ -306,6 +313,53 @@ class Job:
         if include_result and self.result is not None:
             doc["result"] = self.result
         return doc
+
+
+class ResidentResults:
+    """One shared, pre-encoded result fragment per digest.
+
+    Each retained done job takes a reference to its digest's fragment;
+    the fragment is dropped when retention evicts the last of them.  So
+    the results a server holds cost one encoded copy per distinct digest
+    among its retained jobs, whatever the number of jobs.  Keyed by
+    digest alone: a digest is a pure function of the experiment inputs,
+    so every tenant's result for it encodes to the same bytes.
+    """
+
+    def __init__(self) -> None:
+        self._held: dict[str, tuple[RawJson, int]] = {}
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def get(self, digest: str) -> Optional[RawJson]:
+        held = self._held.get(digest)
+        return held[0] if held is not None else None
+
+    def acquire(self, digest: str, result: RunResult) -> RawJson:
+        """A reference to ``digest``'s fragment, encoding it on first use."""
+        fragment, refs = self._held.get(digest, (None, 0))
+        if fragment is None:
+            fragment = encode_result(result)
+            self.nbytes += len(fragment.data)
+        self._held[digest] = (fragment, refs + 1)
+        return fragment
+
+    def release(self, digest: str) -> None:
+        fragment, refs = self._held[digest]
+        if refs > 1:
+            self._held[digest] = (fragment, refs - 1)
+        else:
+            del self._held[digest]
+            self.nbytes -= len(fragment.data)
+
+
+def encode_result(result: RunResult) -> RawJson:
+    """The fragment a response embeds as a job's ``result``."""
+    return RawJson(
+        json.dumps(run_result_to_dict(result), sort_keys=True).encode("utf-8")
+    )
 
 
 # ----------------------------------------------------------------------
@@ -416,6 +470,8 @@ class SchedulingServer:
         ):
             self.metrics.counter(name)
         self.metrics.gauge("server.queue_depth_peak")
+        self.metrics.gauge("server.results.resident")
+        self.metrics.gauge("server.results.resident_bytes")
         self.metrics.histogram("server.job_latency_s", _JOB_LATENCY_BOUNDS)
         # WAL/recovery/chaos counters exist only when the feature is on:
         # a plain server's /v1/metrics snapshot stays exactly what it
@@ -438,6 +494,7 @@ class SchedulingServer:
         )
         self._active: dict[tuple[str, str], Job] = {}  # (tenant, digest)
         self._jobs: OrderedDict[str, Job] = OrderedDict()
+        self._results = ResidentResults()
         self._seq = 0
         self._avg_batch_seconds = 1.0  # EWMA feeding Retry-After
         self._draining = False
@@ -738,6 +795,17 @@ class SchedulingServer:
             if not oldest.terminal:
                 break  # never evict live work; the queue bound caps it
             del self._jobs[oldest_id]
+            if oldest.result is not None:
+                # An in-flight poll may still hold the job; it keeps its
+                # own reference to the fragment until it has answered.
+                self._results.release(oldest.digest)
+                self._publish_residency()
+
+    def _publish_residency(self) -> None:
+        self.metrics.gauge("server.results.resident").set(len(self._results))
+        self.metrics.gauge("server.results.resident_bytes").set(
+            self._results.nbytes
+        )
 
     def _transition(self, job: Job, state: str) -> None:
         job.state = state
@@ -832,15 +900,11 @@ class SchedulingServer:
             outcome.exec_stats.get("simulated", 0)
         )
         if outcome.cache_stats is not None:
-            self.metrics.counter("server.cache_stores").inc(
-                outcome.cache_stats.get("stores", 0)
-            )
-            self.metrics.counter("server.cache_invalid").inc(
-                outcome.cache_stats.get("invalid", 0)
-            )
-            self.metrics.counter("server.cache_quarantined").inc(
-                outcome.cache_stats.get("quarantined", 0)
-            )
+            self._fold_cache_stats(outcome.cache_stats)
+
+    def _fold_cache_stats(self, stats: dict[str, int]) -> None:
+        for key in ("stores", "invalid", "quarantined"):
+            self.metrics.counter(f"server.cache_{key}").inc(stats.get(key, 0))
 
     def _absorb_report(
         self, jobs: list[Job], report: CampaignReport
@@ -850,7 +914,8 @@ class SchedulingServer:
             failure = failures.get(job.digest)
             result = report.results.get(job.point)
             if result is not None:
-                job.result = run_result_to_dict(result)
+                job.result = self._results.acquire(job.digest, result)
+                self._publish_residency()
                 self.metrics.counter("server.completed").inc()
                 self._transition(job, JOB_DONE)
             else:
@@ -1171,10 +1236,8 @@ class SchedulingServer:
         await writer.drain()
         while True:
             changed = job.changed  # capture BEFORE reading state
-            line = json.dumps(
-                job.to_doc(include_result=job.terminal), sort_keys=True
-            )
-            writer.write(encode_chunk((line + "\n").encode("utf-8")))
+            line = encode_json(job.to_doc(include_result=job.terminal))
+            writer.write(encode_chunk(line + b"\n"))
             try:
                 await asyncio.wait_for(writer.drain(), timeout=idle)
             except asyncio.TimeoutError:
@@ -1197,19 +1260,20 @@ class SchedulingServer:
         tenant = parse_tenant(request)
         if self.config.cache_root is None:
             raise HttpError(404, "server runs without a result cache")
-        path = (
-            Path(self.config.cache_root)
-            / tenant
-            / digest[:2]
-            / f"{digest}.json"
-        )
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
+        # A tenant that never ran a batch has no namespace; do not make one.
+        if not (Path(self.config.cache_root) / tenant).is_dir():
             raise HttpError(404, f"no cached result for {digest}")
-        except (OSError, ValueError):
-            raise HttpError(404, f"cached result for {digest} is unreadable")
-        return json_response(200, {"digest": digest, "result": doc})
+        cache = self._tenant_cache(tenant)
+        result = cache.read(digest)
+        self._fold_cache_stats(cache.stats.as_dict())
+        if result is None:
+            if cache.stats.invalid:
+                raise HttpError(
+                    404, f"cached result for {digest} is unreadable"
+                )
+            raise HttpError(404, f"no cached result for {digest}")
+        fragment = self._results.get(digest) or encode_result(result)
+        return json_response(200, {"digest": digest, "result": fragment})
 
 
 class _Backpressure(Exception):

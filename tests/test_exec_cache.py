@@ -131,6 +131,19 @@ class TestResultCache:
         cache.store(TINY, "sar", "history", True, result)
         assert cache.lookup(TINY, "sar", "history", True) == result
 
+    @pytest.mark.parametrize("entry", ['{"foo": 1}', "[1, 2]", "7", "null"])
+    def test_foreign_entry_is_an_invalid_miss_and_quarantined(
+        self, tmp_path, result, entry
+    ):
+        cache = ResultCache(tmp_path)
+        path = cache.store(TINY, "sar", "history", True, result)
+        path.write_text(entry, encoding="utf-8")
+        assert cache.read(path.stem) is None
+        assert (cache.stats.invalid, cache.stats.quarantined) == (1, 1)
+        assert not path.exists()
+        assert cache.lookup(TINY, "sar", "history", True) is None
+        assert cache.stats.invalid == 1  # quarantined: now a plain miss
+
     def test_len_and_clear(self, tmp_path, result):
         cache = ResultCache(tmp_path)
         cache.store(TINY, "sar", "history", True, result)

@@ -12,14 +12,24 @@ releases it, making "two submissions while the first is in flight" and
 """
 
 import asyncio
+import json
 import threading
 import time
 
 import pytest
 
-from repro.exec.cache import point_digest
-from repro.exec.serialize import run_result_from_dict
+from repro.exec.cache import ResultCache, point_digest
+from repro.exec.journal import (
+    DurableJournal,
+    point_to_doc,
+    wal_admit,
+    wal_header,
+)
+from repro.exec.serialize import run_result_from_dict, run_result_to_dict
 from repro.experiments import ExperimentConfig
+from repro.experiments.runner import RunResult
+from repro.metrics.idle import idle_cdf
+from repro.obs.report import render_snapshot
 from repro.serve import (
     SchedulingServer,
     ServerConfig,
@@ -30,6 +40,7 @@ from repro.serve.http import (
     HttpClient,
     HttpError,
     HttpRequest,
+    read_chunked_body,
     read_request,
 )
 
@@ -621,3 +632,281 @@ class TestDigestTenantAgnosticism:
         assert point_digest(
             point.config, point.workload, point.policy, point.scheme
         ) == digest
+
+
+# ----------------------------------------------------------------------
+# Resident results: one shared fragment per digest, byte-identical bodies
+# ----------------------------------------------------------------------
+def _canned(workload: str, seed: int) -> RunResult:
+    periods = [0.25 * seed + 0.1 * i for i in range(40)]
+    return RunResult(
+        workload=workload,
+        policy="simple",
+        scheme=False,
+        execution_time=12.5 + seed / 3,
+        energy_joules=400.0 + seed / 7,
+        idle_cdf=idle_cdf(periods),
+        idle_periods=periods,
+        energy_breakdown={"idle": 1.5 * seed, "active": 0.1},
+        buffer_hits=seed,
+        prefetches=2 * seed,
+        accesses=7 + seed,
+    )
+
+
+#: Points the cache is pre-warmed with, so batches serve them as hits.
+CANNED = {
+    workload: _canned(workload, seed)
+    for seed, workload in enumerate(("sar", "hf", "astro", "apsi"), start=1)
+}
+
+
+def _warm_cache(root, tenant="default"):
+    cache = ResultCache(root / tenant)
+    for workload, result in CANNED.items():
+        cache.store(TINY, workload, "simple", False, result)
+
+
+def _submission(workload):
+    return {"workload": workload, "policy": "simple", "scheme": False}
+
+
+def _parent_body(doc) -> bytes:
+    """How a body was encoded before results were held as fragments."""
+    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+
+
+async def _raw_get(port, target):
+    """One GET over a fresh connection; the de-chunked body bytes."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(
+            f"GET {target} HTTP/1.1\r\nHost: x\r\n"
+            "Connection: close\r\n\r\n".encode()
+        )
+        await writer.drain()
+        raw = await asyncio.wait_for(reader.read(-1), timeout=60)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    head, _sep, body = raw.partition(b"\r\n\r\n")
+    if b"Transfer-Encoding: chunked" in head:
+        chunked = asyncio.StreamReader()
+        chunked.feed_data(body)
+        chunked.feed_eof()
+        body = await read_chunked_body(chunked)
+    return body
+
+
+class TestResidentResults:
+    def _check_residency(self, server):
+        """Every invariant of the shared-fragment memory model."""
+        fragments = {}
+        for job in server._jobs.values():
+            if job.state != "done":
+                continue
+            held = fragments.setdefault(job.digest, job.result)
+            assert job.result is held  # one object per digest
+        assert len(server._results) == len(fragments)
+        for digest, fragment in fragments.items():
+            assert server._results.get(digest) is fragment
+        assert server._results.nbytes == sum(
+            len(f.data) for f in fragments.values()
+        )
+        return fragments
+
+    def test_one_fragment_per_digest_released_on_eviction(self, tmp_path):
+        retention = 5
+        _warm_cache(tmp_path / "cache")
+        # "apsi" once, then more than `retention` jobs of three others:
+        # the apsi job is evicted and its fragment must go with it.
+        order = ["apsi"] + ["sar", "hf", "astro", "sar"] * 3
+
+        async def scenario():
+            async with Harness(tmp_path, job_retention=retention) as h:
+                apsi_digest = None
+                for workload in order:
+                    _s, _h2, body = await h.submit(_submission(workload))
+                    done = await h.await_job(body["job"]["id"])
+                    assert done["state"] == "done"
+                    assert run_result_from_dict(done["result"]) == (
+                        CANNED[workload]
+                    )
+                    apsi_digest = apsi_digest or done["digest"]
+                    fragments = self._check_residency(h.server)
+                    assert len(h.server._jobs) <= retention
+                    snap = await h.metrics()
+                    gauges = snap["gauges"]
+                    assert gauges["server.results.resident"] == len(fragments)
+                    assert gauges["server.results.resident_bytes"] == (
+                        h.server._results.nbytes
+                    )
+                assert h.server._results.get(apsi_digest) is None
+                assert len(h.server._results) == 3
+                for workload in ("sar", "hf", "astro"):
+                    digest = point_digest(TINY, workload, "simple", False)
+                    fragment = h.server._results.get(digest)
+                    assert fragment.data == json.dumps(
+                        run_result_to_dict(CANNED[workload]), sort_keys=True
+                    ).encode()
+                assert snap["counters"]["server.simulated"] == 0
+                assert snap["counters"]["server.cache_hits"] == len(order)
+                rendered = render_snapshot(snap)
+                assert "server.results.resident " in rendered
+                assert "server.results.resident_bytes" in rendered
+
+        asyncio.run(scenario())
+
+    def test_bodies_byte_identical_to_whole_document_encoding(
+        self, tmp_path
+    ):
+        """Poll, stream and fetch bodies for running, queued, done and
+        failed jobs equal the whole-document encoding, result decoded."""
+        _warm_cache(tmp_path / "cache")
+        gate = threading.Event()
+        holder = {}
+
+        def gated(tenant, points):
+            gate.wait(30)
+            if any(p.workload == "astro" for p in points):
+                raise RuntimeError("astro batch exploded")
+            return holder["server"]._run_batch(tenant, points)
+
+        async def bodies(h, job_id):
+            poll = await _raw_get(h.server.port, f"/v1/jobs/{job_id}")
+            stream = await _raw_get(
+                h.server.port, f"/v1/jobs/{job_id}/events"
+            )
+            return poll, stream
+
+        def expected(admitted, **fields):
+            doc = {k: v for k, v in admitted.items() if k != "coalesced"}
+            doc.update(fields)
+            return doc
+
+        async def scenario():
+            async with Harness(
+                tmp_path, run_batch_fn=gated,
+                workers=1, batch_max=1, idle_timeout=0.3,
+            ) as h:
+                holder["server"] = h.server
+                admitted = {}
+                for workload in ("sar", "hf", "astro"):
+                    _s, _h2, body = await h.submit(_submission(workload))
+                    admitted[workload] = body["job"]
+                    if workload == "sar":
+                        for _ in range(200):
+                            if h.server._jobs[body["job"]["id"]].state == (
+                                "running"
+                            ):
+                                break
+                            await asyncio.sleep(0.01)
+                for workload, state in (("sar", "running"), ("hf", "queued")):
+                    doc = expected(admitted[workload], state=state)
+                    poll, stream = await bodies(h, doc["id"])
+                    assert poll == _parent_body({"job": doc})
+                    assert stream == _parent_body(doc)
+
+                gate.set()
+                for workload in admitted:
+                    await h.await_job(admitted[workload]["id"])
+                for workload in ("sar", "hf"):
+                    doc = expected(
+                        admitted[workload], state="done",
+                        result=run_result_to_dict(CANNED[workload]),
+                    )
+                    poll, stream = await bodies(h, doc["id"])
+                    assert poll == _parent_body({"job": doc})
+                    assert stream == _parent_body(doc)
+                    digest = doc["digest"]
+                    entry = tmp_path / "cache" / "default" / digest[:2]
+                    fetched = await _raw_get(
+                        h.server.port, f"/v1/results/{digest}"
+                    )
+                    assert fetched == _parent_body({
+                        "digest": digest,
+                        "result": json.loads(
+                            (entry / f"{digest}.json").read_text()
+                        ),
+                    })
+                doc = expected(
+                    admitted["astro"], state="failed",
+                    error="RuntimeError: astro batch exploded",
+                )
+                poll, stream = await bodies(h, doc["id"])
+                assert poll == _parent_body({"job": doc})
+                assert stream == _parent_body(doc)
+
+        asyncio.run(scenario())
+
+    def test_recovered_job_serves_identical_result_bytes(self, tmp_path):
+        """A WAL replay answers with the same result bytes as a live run."""
+        _warm_cache(tmp_path / "cache")
+        digest = point_digest(TINY, "sar", "simple", False)
+
+        async def scenario():
+            async with Harness(tmp_path) as h:
+                _s, _h2, body = await h.submit(_submission("sar"))
+                live_id = body["job"]["id"]
+                await h.await_job(live_id)
+                live = await _raw_get(h.server.port, f"/v1/jobs/{live_id}")
+
+            wal = tmp_path / "crash.jsonl"
+            job_id = f"j000009-{digest[:12]}"
+            with DurableJournal(wal, header=wal_header()) as journal:
+                journal.append(
+                    wal_admit(
+                        job_id, "default", digest, "sar/simple/plain",
+                        point_to_doc("sar", "simple", False, TINY),
+                    )
+                )
+            async with Harness(tmp_path, wal_path=wal, recover=True) as h:
+                await h.await_job(job_id)
+                replayed = await _raw_get(
+                    h.server.port, f"/v1/jobs/{job_id}"
+                )
+                snap = await h.metrics()
+                assert snap["counters"]["server.recovery.replayed"] == 1
+                assert snap["counters"]["server.simulated"] == 0
+            assert replayed == live.replace(
+                live_id.encode(), job_id.encode()
+            )
+            assert json.loads(replayed)["job"]["result"] == (
+                run_result_to_dict(CANNED["sar"])
+            )
+
+        asyncio.run(scenario())
+
+
+class TestResultFetchValidation:
+    @pytest.mark.parametrize(
+        "entry", ['{"foo": 1}', "[1, 2]", '{"schema": 4}', "not json"]
+    )
+    def test_invalid_entry_is_404_and_quarantined(self, tmp_path, entry):
+        """The fetch endpoint reads through the cache's validated read:
+        an entry ``lookup`` would reject is a 404 and is quarantined."""
+        digest = point_digest(TINY, "sar", "simple", False)
+        path = tmp_path / "cache" / "default" / digest[:2] / f"{digest}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(entry)
+
+        async def scenario():
+            async with Harness(tmp_path) as h:
+                status, _h2, body = await h.client.request(
+                    "GET", f"/v1/results/{digest}"
+                )
+                assert status == 404
+                assert "unreadable" in body["error"]
+                assert not path.exists()
+                assert list(path.parent.glob(".corrupt-*"))
+                snap = await h.metrics()
+                assert snap["counters"]["server.cache_invalid"] == 1
+                assert snap["counters"]["server.cache_quarantined"] == 1
+                # Quarantined: the next fetch is a plain miss.
+                status, _h3, body = await h.client.request(
+                    "GET", f"/v1/results/{digest}"
+                )
+                assert status == 404
+                assert "no cached result" in body["error"]
+
+        asyncio.run(scenario())

@@ -15,8 +15,10 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from repro.serve.http import (
+    RawJson,
     TruncatedResponse,
     encode_chunk,
+    encode_json,
     read_chunked_body,
     read_request,
 )
@@ -199,3 +201,37 @@ class TestChunkedFraming:
     def test_terminator_alone_is_an_empty_body(self):
         body = asyncio.run(_parse_chunked(encode_chunk(b""), [0, 1, 2]))
         assert body == b""
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestSplicedEncoding:
+    @SETTINGS
+    @given(
+        doc=st.dictionaries(st.text(max_size=6), _json_values),
+        data=st.data(),
+    )
+    def test_splicing_fragments_matches_whole_encoding(self, doc, data):
+        """Any dict value, at any depth, may be replaced by its own
+        ``RawJson`` encoding without changing a byte of the body."""
+        def splice(value):
+            if not isinstance(value, dict):
+                return value
+            out = {}
+            for key, item in value.items():
+                if data.draw(st.booleans(), label=f"raw {key!r}"):
+                    out[key] = RawJson(
+                        json.dumps(item, sort_keys=True).encode("utf-8")
+                    )
+                else:
+                    out[key] = splice(item)
+            return out
+
+        expected = json.dumps(doc, sort_keys=True).encode("utf-8")
+        assert encode_json(splice(doc)) == expected
