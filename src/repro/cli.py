@@ -9,13 +9,10 @@ Thirteen subcommands:
 * ``resume`` — re-dispatch an interrupted ``run``/``figure`` campaign
   from its ``--journal`` file; finished points return as cache hits, so
   the merged output is bit-identical to an uninterrupted run;
-* ``bench`` — time the figure grid (serial vs parallel vs warm cache) and
-  write a ``BENCH_*.json`` perf record; with ``--trace`` it also times a
-  traced pass and ``--max-trace-overhead`` gates the slowdown; the record
-  carries per-point simulator throughput (events/sec), it is diffed
-  against the latest prior record in ``--output-dir`` (a missing
-  trajectory only warns), and ``--profile [N]`` prints a cProfile top-N
-  table per grid point;
+* ``bench`` — write a ``BENCH_*.json`` record of what CI gates on:
+  per-point simulator throughput (events/sec) and energy-envelope widths
+  for the figure grid; with ``--trace`` it also measures the paired
+  traced-vs-untraced slowdown and ``--max-trace-overhead`` bounds it;
 * ``report`` — render a metrics snapshot produced by ``--metrics`` as
   grouped tables (or JSON), optionally merging several snapshots;
 * ``schedule`` — compile a workload's I/O schedule and print its stats
@@ -88,11 +85,10 @@ Examples::
     python -m repro figure fig12c --scale 0.1 --jobs 4 \\
         --retries 2 --timeout 300 --journal fig12c.journal
     python -m repro resume fig12c.journal
-    python -m repro bench --quick --jobs 4
+    python -m repro bench --quick
     python -m repro tournament --scale 0.05 --jobs 4
     python -m repro tournament --workloads sar,hf --entrants hybrid,forecast
     python -m repro bench --quick --trace trace.jsonl --max-trace-overhead 0.05
-    python -m repro bench --quick --profile 8
     python -m repro schedule --app hf --scale 0.1 --timeline
     python -m repro verify --scale 0.1           # all six workloads
     python -m repro verify --app madbench2 --json
@@ -165,6 +161,14 @@ def _path(value: str) -> str:
     :func:`_campaign_argv` to journal the value as an absolute path.
     """
     return value
+
+
+def _positive_int(value: str) -> int:
+    """argparse ``type`` for counts that must be at least 1."""
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {value}")
+    return number
 
 
 def _add_exec_flags(sub_parser: argparse.ArgumentParser) -> None:
@@ -297,41 +301,30 @@ def build_parser() -> argparse.ArgumentParser:
                           help="override the journaled worker count")
 
     bench_p = sub.add_parser(
-        "bench", help="time the figure grid and write a BENCH_*.json record"
+        "bench",
+        help="record per-point events/sec, envelope widths and trace "
+        "overhead as a BENCH_*.json record",
     )
     bench_p.add_argument("--quick", action="store_true",
                          help="small grid at scale 0.05 (CI smoke)")
-    bench_p.add_argument("--jobs", type=int, default=4, metavar="N",
-                         help="worker processes for the parallel pass")
     bench_p.add_argument("--scale", type=float, default=None)
-    bench_p.add_argument("--profile", type=int, nargs="?", const=12,
-                         default=None, metavar="N",
-                         help="also cProfile each grid point serially and "
-                         "print the top N functions by tottime "
-                         "(default N: 12)")
     bench_p.add_argument("--figures", nargs="*", default=None,
                          metavar="FIG", help="subset of figures to grid")
     bench_p.add_argument("--output-dir", default=".", metavar="DIR",
                          help="where to write BENCH_<stamp>.json")
-    bench_p.add_argument("--no-serial", action="store_true",
-                         help="skip the serial baseline pass")
     bench_p.add_argument("--trace", default=None, metavar="PATH",
-                         help="also time a traced serial pass writing a "
-                         "JSONL trace to PATH (needs the serial baseline)")
-    bench_p.add_argument("--repeats", type=int, default=1, metavar="N",
-                         help="time each serial pass N times and keep the "
-                         "minimum (interleaved, for stable overhead "
-                         "ratios on noisy machines)")
+                         help="also measure the traced-vs-untraced "
+                         "slowdown, writing a JSONL trace to PATH")
+    bench_p.add_argument("--repeats", type=_positive_int, default=1,
+                         metavar="N",
+                         help="repeat the trace-overhead measurement N "
+                         "times and keep the median (for stable ratios "
+                         "on noisy machines)")
     bench_p.add_argument("--max-trace-overhead", type=float, default=None,
                          metavar="FRAC",
                          help="exit non-zero if the traced pass is more "
                          "than FRAC slower than the untraced one "
-                         "(e.g. 0.05 = 5%%)")
-    bench_p.add_argument("--no-server", action="store_true",
-                         help="skip the serving-throughput block (an "
-                         "in-process load-test of the scheduling service)")
-    bench_p.add_argument("--no-tournament", action="store_true",
-                         help="skip the reduced policy-tournament block")
+                         "(e.g. 0.05 = 5%%; needs --trace)")
 
     tour_p = sub.add_parser(
         "tournament",
@@ -640,18 +633,30 @@ def _supervisor(args, executor, command: str):
     return CampaignSupervisor(executor, policy, journal=journal)
 
 
-def _close_journal(supervisor) -> None:
-    if supervisor.journal is not None:
-        supervisor.journal.close()
+def _campaign(args, supervisor, body):
+    """Run ``body()`` under the campaign exit contract of run, figure and
+    tournament; returns ``(value, None)``, or ``(None, exit_code)``.
 
+    An interrupt exits 130 with the ``repro resume`` hint, a failed point
+    exits 1, and the journal is closed either way.
+    """
+    from .exec import CampaignFailed, PointTimeout, VerifyFailure, WorkerFailure
 
-def _interrupted(args) -> int:
-    print("interrupted", file=sys.stderr)
-    if getattr(args, "journal", None):
-        print(
-            f"resume with: repro resume {args.journal}", file=sys.stderr
-        )
-    return 130
+    try:
+        return body(), None
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        if args.journal:
+            print(
+                f"resume with: repro resume {args.journal}", file=sys.stderr
+            )
+        return None, 130
+    except (VerifyFailure, WorkerFailure, PointTimeout, CampaignFailed) as exc:
+        print(f"campaign failed: {exc}", file=sys.stderr)
+        return None, 1
+    finally:
+        if supervisor.journal is not None:
+            supervisor.journal.close()
 
 
 def _report_failures(report, out) -> None:
@@ -694,15 +699,7 @@ def cmd_list(_args, out) -> int:
 
 
 def cmd_run(args, out) -> int:
-    from .exec import (
-        CampaignFailed,
-        CampaignSupervisor,
-        ExperimentExecutor,
-        PointTimeout,
-        RunPoint,
-        VerifyFailure,
-        WorkerFailure,
-    )
+    from .exec import CampaignSupervisor, ExperimentExecutor, RunPoint
 
     cfg = _config(args)
     executor, cache = _executor(args)
@@ -710,8 +707,9 @@ def cmd_run(args, out) -> int:
     runner = Runner(cfg, cache=cache)
     base_point = RunPoint(args.app, "default", False, cfg)
     target_point = RunPoint(args.app, args.policy, args.scheme, cfg)
-    points = [base_point, target_point]
-    try:
+
+    def simulate():
+        points = [base_point, target_point]
         if executor.observed and target_point != base_point:
             # Only the requested configuration runs instrumented: merging
             # the baseline's gauges in (max semantics) would make the
@@ -723,14 +721,11 @@ def cmd_run(args, out) -> int:
                 supervisor.policy,
             ).warm_runner(runner, [base_point]).raise_if_failed()
             points = [target_point]
-        report = supervisor.warm_runner(runner, points)
-    except KeyboardInterrupt:
-        return _interrupted(args)
-    except (VerifyFailure, WorkerFailure, PointTimeout, CampaignFailed) as exc:
-        print(f"campaign failed: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        _close_journal(supervisor)
+        return supervisor.warm_runner(runner, points)
+
+    report, code = _campaign(args, supervisor, simulate)
+    if code is not None:
+        return code
     if report.failures:
         _report_failures(report, out)
         return 1
@@ -764,13 +759,7 @@ def cmd_run(args, out) -> int:
 
 
 def cmd_figure(args, out) -> int:
-    from .exec import (
-        CampaignFailed,
-        PointTimeout,
-        VerifyFailure,
-        WorkerFailure,
-        figure_points,
-    )
+    from .exec import figure_points
 
     cfg = default_config(scale=args.scale)
     if getattr(args, "faults", None):
@@ -780,15 +769,12 @@ def cmd_figure(args, out) -> int:
     executor, cache = _executor(args)
     supervisor = _supervisor(args, executor, "figure")
     runner = Runner(cfg, cache=cache)
-    try:
-        report = supervisor.warm_runner(runner, figure_points(args.name, cfg))
-    except KeyboardInterrupt:
-        return _interrupted(args)
-    except (VerifyFailure, WorkerFailure, PointTimeout, CampaignFailed) as exc:
-        print(f"campaign failed: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        _close_journal(supervisor)
+    report, code = _campaign(
+        args, supervisor,
+        lambda: supervisor.warm_runner(runner, figure_points(args.name, cfg)),
+    )
+    if code is not None:
+        return code
     if report.failures:
         # Rendering would silently re-simulate the missing points
         # in-process; report the partial campaign instead.
@@ -842,9 +828,6 @@ def cmd_bench(args, out) -> int:
     from .exec import (
         GRID_FIGURES,
         QUICK_FIGURES,
-        all_figure_points,
-        compare_with_previous,
-        profile_grid,
         run_bench,
         write_bench_record,
     )
@@ -857,74 +840,36 @@ def cmd_bench(args, out) -> int:
     if unknown:
         print(f"unknown figure(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    if args.trace and args.no_serial:
-        print("--trace needs the serial baseline (drop --no-serial)",
-              file=sys.stderr)
+    if args.max_trace_overhead is not None and not args.trace:
+        print("--max-trace-overhead needs --trace", file=sys.stderr)
         return 2
-    cfg = default_config(scale=scale)
     record = run_bench(
-        config=cfg,
+        config=default_config(scale=scale),
         figures=tuple(figures),
-        jobs=args.jobs,
-        compare_serial=not args.no_serial,
         trace_path=args.trace,
         repeats=args.repeats,
-        server=not args.no_server,
-        tournament=not args.no_tournament,
     )
     path = write_bench_record(record, args.output_dir)
     rows = [(k, v) for k, v in record.items()
             if isinstance(v, (int, float, str)) and k != "kind"]
     print(format_table(("field", "value"), rows, title="repro bench"),
           file=out)
-    server_block = record.get("server")
-    if server_block:
-        print(file=out)
-        print(_loadtest_table(server_block, title="serving throughput"),
-              file=out)
-    tournament_block = record.get("tournament")
-    if tournament_block:
-        trows = [
-            (row["entrant"],
-             f"{row['mean_normalized_energy']:.3f}",
-             f"{row['mean_slowdown']:.3f}",
-             "yes" if row["contained"] else "NO")
-            for row in tournament_block["leaderboard"]
-        ]
-        print(file=out)
-        print(format_table(
-            ("entrant", "mean norm. energy", "mean slowdown", "in envelope"),
-            trows,
-            title="policy tournament (reduced grid: "
-            + ",".join(tournament_block["workloads"]) + " x "
-            + ",".join(tournament_block["scenarios"]) + ")",
-        ), file=out)
     print(f"record written to {path}", file=out)
-    compare_with_previous(record, args.output_dir, exclude=path, out=out)
-    if args.profile is not None:
-        points = all_figure_points(cfg, names=tuple(figures))
-        for label, table in profile_grid(points, top=args.profile):
-            print(file=out)
-            print(f"--- profile: {label}", file=out)
-            print(table, file=out)
-    if args.max_trace_overhead is not None:
-        overhead = record.get("trace_overhead")
-        if overhead is None:
-            print("no trace_overhead in record (pass --trace)",
-                  file=sys.stderr)
-            return 2
-        if overhead > args.max_trace_overhead:
-            print(
-                f"trace overhead {overhead:.1%} exceeds the "
-                f"{args.max_trace_overhead:.1%} budget",
-                file=sys.stderr,
-            )
-            return 1
+    if args.max_trace_overhead is None:
+        return 0
+    overhead = record["trace_overhead"]
+    if overhead > args.max_trace_overhead:
         print(
-            f"trace overhead {overhead:.1%} within the "
+            f"trace overhead {overhead:.1%} exceeds the "
             f"{args.max_trace_overhead:.1%} budget",
-            file=out,
+            file=sys.stderr,
         )
+        return 1
+    print(
+        f"trace overhead {overhead:.1%} within the "
+        f"{args.max_trace_overhead:.1%} budget",
+        file=out,
+    )
     return 0
 
 
@@ -955,12 +900,6 @@ def _loadtest_table(report: dict, title: str) -> str:
 def cmd_tournament(args, out) -> int:
     import json as json_mod
 
-    from .exec import (
-        CampaignFailed,
-        PointTimeout,
-        VerifyFailure,
-        WorkerFailure,
-    )
     from .experiments import (
         DEFAULT_ENTRANTS,
         SCENARIOS,
@@ -994,25 +933,19 @@ def cmd_tournament(args, out) -> int:
     executor, cache = _executor(args)
     supervisor = _supervisor(args, executor, "tournament")
     runner = Runner(cfg, cache=cache)
-    try:
-        doc = run_tournament(
-            cfg,
-            workloads=workloads or TOURNAMENT_WORKLOADS,
-            entrants=(
-                tuple(by_name[n] for n in entrant_names)
-                if entrant_names else DEFAULT_ENTRANTS
-            ),
-            scenarios=scenarios or SCENARIOS,
-            runner=runner,
-            supervisor=supervisor,
-        )
-    except KeyboardInterrupt:
-        return _interrupted(args)
-    except (VerifyFailure, WorkerFailure, PointTimeout, CampaignFailed) as exc:
-        print(f"campaign failed: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        _close_journal(supervisor)
+    doc, code = _campaign(args, supervisor, lambda: run_tournament(
+        cfg,
+        workloads=workloads or TOURNAMENT_WORKLOADS,
+        entrants=(
+            tuple(by_name[n] for n in entrant_names)
+            if entrant_names else DEFAULT_ENTRANTS
+        ),
+        scenarios=scenarios or SCENARIOS,
+        runner=runner,
+        supervisor=supervisor,
+    ))
+    if code is not None:
+        return code
 
     if args.json:
         print(json_mod.dumps(doc, indent=2, sort_keys=True), file=out)

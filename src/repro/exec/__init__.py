@@ -1,5 +1,5 @@
 """Parallel experiment execution: process-pool fan-out, content-addressed
-result caching, grid enumeration and the ``repro bench`` perf harness.
+result caching, grid enumeration and the ``repro bench`` gate record.
 
 Layout:
 
@@ -20,17 +20,12 @@ Layout:
   per worker): watchdog timeouts, seeded-backoff retries, worker-crash
   recovery/quarantine, the resumable JSONL campaign journal and
   partial-failure reports;
-* :mod:`~repro.exec.bench` — timed grid execution and ``BENCH_*.json``
-  perf records.
+* :mod:`~repro.exec.bench` — the ``BENCH_*.json`` record CI gates on:
+  per-point events/sec, energy-envelope widths and the paired
+  trace-overhead measurement.
 """
 
-from .bench import (
-    QUICK_FIGURES,
-    compare_with_previous,
-    profile_grid,
-    run_bench,
-    write_bench_record,
-)
+from .bench import QUICK_FIGURES, run_bench, write_bench_record
 from .cache import CacheStats, ResultCache, point_digest
 from .executor import (
     ExecStats,
@@ -104,8 +99,6 @@ __all__ = [
     "GRID_FIGURES",
     "QUICK_FIGURES",
     "run_bench",
-    "profile_grid",
-    "compare_with_previous",
     "write_bench_record",
     "BOUNDARY_ERRORS",
     "CampaignFailed",

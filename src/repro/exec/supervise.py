@@ -390,20 +390,6 @@ class CampaignReport:
             out[outcome] = out.get(outcome, 0) + 1
         return out
 
-    def failures_block(self) -> dict[str, Any]:
-        """Schema-stable summary for BENCH records: always every key,
-        empty list and zero counts on a clean run."""
-        return {
-            "count": len(self.failures),
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "worker_deaths": self.worker_deaths,
-            "quarantined": sum(
-                1 for f in self.failures if f.outcome == OUTCOME_QUARANTINED
-            ),
-            "points": sorted(f.label for f in self.failures),
-        }
-
     def summary(self) -> str:
         counts = self.counts()
         bits = [f"{name}={n}" for name, n in counts.items() if n]

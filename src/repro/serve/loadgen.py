@@ -266,7 +266,7 @@ async def run_loadgen(cfg: LoadgenConfig) -> dict[str, Any]:
     """Run the full harness against a live server; returns the report.
 
     The report is JSON-able and schema-stable: every key is present on
-    every run (zero/empty on clean ones), so BENCH records can embed it
+    every run (zero/empty on clean ones), so CI can assert on it
     directly.
     """
     warmed = await _warm(cfg) if cfg.warm else 0
@@ -340,10 +340,9 @@ async def run_inprocess_loadtest(
 ) -> dict[str, Any]:
     """Spin up a server on an ephemeral port, load-test it, tear it down.
 
-    This is the path ``repro loadtest`` (without ``--url``) and the BENCH
-    ``server`` block use: one process, one event loop, real sockets on
-    localhost — the exact wire path of a remote client, minus the
-    network.
+    This is the path ``repro loadtest`` (without ``--url``) uses: one
+    process, one event loop, real sockets on localhost — the exact wire
+    path of a remote client, minus the network.
     """
     srv_cfg = server_config or ServerConfig(
         port=0,

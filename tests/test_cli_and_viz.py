@@ -120,8 +120,7 @@ class TestCommands:
         import json
 
         code, text = run_cli(
-            "bench", "--quick", "--jobs", "1", "--no-serial",
-            "--figures", "table3",
+            "bench", "--quick", "--figures", "table3",
             "--output-dir", str(tmp_path),
         )
         assert code == 0
@@ -131,31 +130,27 @@ class TestCommands:
         record = json.loads(records[0].read_text())
         assert record["kind"] == "repro-bench"
         assert record["points"] == 6
-        assert record["parallel_seconds"] > 0
-        assert record["warm"]["simulated"] == 0
-        assert record["warm"]["cache_hits"] == record["points"]
         # Kernel instrumentation rides in every record.
         assert record["kernel"] == "heap"
+        assert all(p["kernel"] == "heap" for p in record["point_stats"])
         assert record["events_per_sec"] > 0
         assert len(record["point_stats"]) == record["points"]
-        # First record in an empty output dir seeds the trajectory.
-        assert "seeds the trajectory" in text
+        assert record["envelopes"]
+        # Without --trace there is no overhead measurement; grid timing,
+        # serving and tournament numbers belong to bench/run.py and CI.
+        for key in ("trace_overhead", "serial_seconds", "parallel_seconds",
+                    "warm", "speedup", "server", "tournament", "jobs"):
+            assert key not in record
 
-    def test_bench_profile(self, tmp_path):
-        import json
-
-        code, text = run_cli(
-            "bench", "--quick", "--jobs", "1", "--no-serial",
-            "--figures", "table3", "--profile", "5",
-            "--output-dir", str(tmp_path),
-        )
-        assert code == 0
-        record = json.loads(next(tmp_path.glob("BENCH_*.json")).read_text())
-        assert record["kernel"] == "heap"
-        assert all(p["kernel"] == "heap" for p in record["point_stats"])
-        # cProfile tables printed per point, never persisted.
-        assert "tottime" in text
-        assert "profile" in text
+    def test_bench_zero_repeats_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "bench", "--figures", "table3", "--scale", "0.05",
+                "--repeats", "0", "--output-dir", str(tmp_path),
+            )
+        assert exc.value.code == 2
+        assert "--repeats: must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("BENCH_*.json"))
 
     def test_bench_rejects_unknown_figure(self, tmp_path):
         code, _text = run_cli(

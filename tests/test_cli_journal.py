@@ -3,7 +3,9 @@ campaign exactly.
 
 The header argv is derived from the subcommand parser, so every option
 round-trips through it, and values the launch resolved from the
-environment are pinned rather than re-resolved at resume time.
+environment are pinned rather than re-resolved at resume time.  Every
+journaled command also shares one exit contract when its campaign is
+interrupted or fails, and closes its journal either way.
 """
 
 import argparse
@@ -13,7 +15,16 @@ import os
 import pytest
 
 from repro.cli import _campaign_argv, _path, build_parser, main
-from repro.exec import load_journal
+from repro.exec import (
+    CampaignFailed,
+    CampaignJournal,
+    CampaignSupervisor,
+    PointFailure,
+    PointTimeout,
+    VerifyFailure,
+    WorkerFailure,
+    load_journal,
+)
 from repro.experiments import default_config
 
 #: Every subcommand that takes ``--journal``.
@@ -120,3 +131,64 @@ def test_resume_under_changed_repro_scale_replays_journaled_digests(
     _header, resumed = load_journal(journal)
     assert set(resumed) == set(launched)
     assert {entry["outcome"] for entry in resumed.values()} == {"cached"}
+
+
+#: A cheap argv per journaled command (the supervisor is stubbed out).
+CAMPAIGN_ARGV = {
+    "run": ["run", "--app", "sar"],
+    "figure": ["figure", "table3"],
+    "tournament": ["tournament", "--workloads", "sar", "--entrants",
+                   "forecast", "--scenarios", "clean", "--no-record"],
+}
+
+def campaign_exit(exc, code, message):
+    """(exception the supervisor raises, exit code, stderr fragment)."""
+    return pytest.param(exc, code, message, id=type(exc).__name__)
+
+
+CAMPAIGN_EXITS = [
+    campaign_exit(KeyboardInterrupt(), 130, "resume with: repro resume"),
+    campaign_exit(
+        VerifyFailure("sar/simple/scheme", "VERIFY001"), 1,
+        "campaign failed: schedule verification failed for sar/simple/scheme",
+    ),
+    campaign_exit(
+        WorkerFailure("sar/simple/plain", "RuntimeError", "boom"), 1,
+        "campaign failed: sar/simple/plain: RuntimeError: boom",
+    ),
+    campaign_exit(
+        PointTimeout("sar/simple/plain", 2.0, 3), 1,
+        "campaign failed: sar/simple/plain: no result within 2s",
+    ),
+    campaign_exit(
+        CampaignFailed([PointFailure(
+            "sar/simple/plain", "0" * 64, "failed", "boom", 1)]), 1,
+        "campaign failed: 1 point(s) failed",
+    ),
+]
+
+
+@pytest.mark.parametrize("command", JOURNALED)
+@pytest.mark.parametrize("exc, code, message", CAMPAIGN_EXITS)
+def test_campaign_exit_contract(
+    command, exc, code, message, tmp_path, monkeypatch, capsys
+):
+    def raise_exc(self, runner, points):
+        raise exc
+
+    closed = []
+    real_close = CampaignJournal.close
+
+    def spy_close(self):
+        closed.append(self)
+        real_close(self)
+
+    monkeypatch.setattr(CampaignSupervisor, "warm_runner", raise_exc)
+    monkeypatch.setattr(CampaignJournal, "close", spy_close)
+    journal = tmp_path / "campaign.jsonl"
+    argv = CAMPAIGN_ARGV[command] + [
+        "--scale", "0.05", "--no-cache", "--journal", str(journal),
+    ]
+    assert main(argv, out=io.StringIO()) == code
+    assert message in capsys.readouterr().err
+    assert len(closed) == 1

@@ -243,17 +243,6 @@ class TestJournal:
 # Report
 # ----------------------------------------------------------------------
 class TestReport:
-    def test_failures_block_schema_stable_when_clean(self):
-        block = CampaignReport().failures_block()
-        assert block == {
-            "count": 0,
-            "retries": 0,
-            "timeouts": 0,
-            "worker_deaths": 0,
-            "quarantined": 0,
-            "points": [],
-        }
-
     def test_raise_if_failed_carries_every_failure(self):
         report = CampaignReport()
         for n in range(3):

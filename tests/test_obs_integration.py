@@ -223,11 +223,7 @@ class TestBenchTraceOverhead:
 
         trace = tmp_path / "bench-trace.jsonl"
         record = run_bench(
-            config=TINY,
-            figures=("fig12a",),
-            jobs=1,
-            compare_serial=True,
-            trace_path=trace,
+            config=TINY, figures=("fig12a",), trace_path=trace
         )
         assert "traced_seconds" in record
         assert "trace_overhead" in record
@@ -237,17 +233,20 @@ class TestBenchTraceOverhead:
     def test_cli_gate_passes_with_generous_budget(self, tmp_path):
         code, text = run_cli(
             "bench", "--figures", "fig12a", "--scale", "0.05",
-            "--jobs", "1", "--output-dir", str(tmp_path),
+            "--output-dir", str(tmp_path),
             "--trace", str(tmp_path / "t.jsonl"),
             "--max-trace-overhead", "10.0",
         )
         assert code == 0
         assert "within the" in text
 
-    def test_cli_gate_requires_serial_baseline(self, tmp_path):
+    def test_cli_gate_requires_trace(self, tmp_path, capsys):
+        """The gate needs a traced measurement: without ``--trace`` the
+        flags are refused before any point is simulated or recorded."""
         code, _ = run_cli(
-            "bench", "--figures", "fig12a", "--no-serial",
-            "--output-dir", str(tmp_path),
-            "--trace", str(tmp_path / "t.jsonl"),
+            "bench", "--figures", "table3", "--scale", "0.05",
+            "--max-trace-overhead", "0.05", "--output-dir", str(tmp_path),
         )
         assert code == 2
+        assert "needs --trace" in capsys.readouterr().err
+        assert not list(tmp_path.glob("BENCH_*.json"))
