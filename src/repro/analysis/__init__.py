@@ -34,7 +34,7 @@ from .capacity import CapacityProfile, analyze_capacity, lint_trace
 from .determinism import lint_determinism, lint_source
 from .diagnostics import CODES, Diagnostic, Report, Severity, SourceAnchor
 from .races import WaitEdge, build_wait_graph, detect_races
-from .schedule_check import check_book, oracle_writer_table
+from .schedule_check import check_book
 from .verify import (
     RuntimeModel,
     ScheduleVerificationError,
@@ -64,7 +64,6 @@ __all__ = [
     "Diagnostic",
     "Report",
     "check_book",
-    "oracle_writer_table",
     "WaitEdge",
     "build_wait_graph",
     "detect_races",

@@ -4,15 +4,17 @@ Checks a compiled :class:`~repro.core.table.ScheduleBook` against its
 program trace *without running the simulator*: every relocated access must
 stay inside its slack window and the slot horizon, every traced read must
 be scheduled exactly once under its own process, and each access's
-recorded producer must agree with the dependence oracle — the property the
-runtime's producer-wait silently relies on (a stale producer makes the
-scheduler thread wait on the wrong process/slot, or not wait at all).
+recorded producer must agree with the trace's last-writer table — the
+property the runtime's producer-wait silently relies on (a stale producer
+makes the scheduler thread wait on the wrong process/slot, or not wait at
+all).
 
-The last-writer oracle is the polyhedral path
-(:class:`~repro.ir.dependence.AffineDependenceAnalyzer`) for affine
-programs at unit granularity and the profiling path
-(:meth:`~repro.ir.profiling.AccessTrace.last_writer_table`) otherwise;
-the two agree by construction on affine programs.
+The writer table is :meth:`~repro.ir.profiling.AccessTrace.last_writer_table`
+of the trace in hand, at whatever granularity it was taken, so verifying
+never re-traces the program.  For affine programs the polyhedral analyzer
+(:class:`~repro.ir.dependence.AffineDependenceAnalyzer`) yields the same
+table — its enumeration *is* the profiling walk — and the test suite
+asserts that agreement for every affine workload.
 """
 
 from __future__ import annotations
@@ -22,27 +24,12 @@ from typing import Optional
 
 from ..core.slack import producer_for
 from ..core.table import ScheduleBook
-from ..ir.dependence import AffineDependenceAnalyzer
 from ..ir.profiling import AccessTrace
 from .diagnostics import Diagnostic, Severity, SourceAnchor
 
-__all__ = ["oracle_writer_table", "check_book"]
+__all__ = ["check_book"]
 
 WriterTable = dict[tuple[str, int], list[tuple[int, int]]]
-
-
-def oracle_writer_table(trace: AccessTrace, granularity: int = 1) -> WriterTable:
-    """The ground-truth ``(file, block) → [(slot, process)]`` writer table.
-
-    Affine programs at unit slot granularity go through the polyhedral
-    analyzer (a fresh symbolic enumeration, independent of ``trace``);
-    everything else uses the trace itself.  At non-unit granularity the
-    analyzer's slot axis would not match the compiled one, so the trace is
-    authoritative there.
-    """
-    if trace.program.is_affine and granularity == 1:
-        return AffineDependenceAnalyzer(trace.program).last_writer_table()
-    return trace.last_writer_table()
 
 
 def _expected_producer(
@@ -63,19 +50,9 @@ def _expected_producer(
     return producer
 
 
-def check_book(
-    trace: AccessTrace,
-    book: ScheduleBook,
-    writer_table: Optional[WriterTable] = None,
-    granularity: int = 1,
-) -> list[Diagnostic]:
-    """All SCHED* diagnostics for ``book`` against ``trace``.
-
-    ``writer_table`` may be supplied to reuse an oracle across checkers;
-    by default it is built via :func:`oracle_writer_table`.
-    """
-    if writer_table is None:
-        writer_table = oracle_writer_table(trace, granularity)
+def check_book(trace: AccessTrace, book: ScheduleBook) -> list[Diagnostic]:
+    """All SCHED* diagnostics for ``book`` against ``trace``."""
+    writer_table = trace.last_writer_table()
     diagnostics: list[Diagnostic] = []
     horizon = trace.n_slots
 

@@ -19,7 +19,7 @@ from ..ir.profiling import AccessTrace
 from .capacity import CapacityProfile, analyze_capacity, lint_trace
 from .diagnostics import Report
 from .races import detect_races
-from .schedule_check import check_book, oracle_writer_table
+from .schedule_check import check_book
 
 __all__ = [
     "RuntimeModel",
@@ -69,21 +69,18 @@ def verify_schedule(
     trace: AccessTrace,
     book: ScheduleBook,
     runtime: RuntimeModel = RuntimeModel(),
-    granularity: int = 1,
     include_lint: bool = True,
 ) -> Report:
     """Statically verify ``book`` against ``trace`` — no simulation.
 
-    ``granularity`` is the compiler's slot granularity the trace was taken
-    at; it selects the dependence oracle (see
-    :func:`~repro.analysis.schedule_check.oracle_writer_table`).
-    Error-severity diagnostics mean the schedule violates a correctness
-    invariant; warnings and notes are realizability and style findings.
+    ``trace`` is the one the book was compiled from, at the compiler's
+    slot granularity; producers are checked against its last-writer
+    table, so verifying never re-traces the program.  Error-severity
+    diagnostics mean the schedule violates a correctness invariant;
+    warnings and notes are realizability and style findings.
     """
     report = Report()
-    writer_table = oracle_writer_table(trace, granularity)
-    report.extend(check_book(trace, book, writer_table=writer_table,
-                             granularity=granularity))
+    report.extend(check_book(trace, book))
     report.extend(detect_races(trace, book, runtime.min_lead,
                                runtime.batch_slots))
     _profile, cap_diags = analyze_capacity(

@@ -1234,7 +1234,6 @@ def cmd_verify(args, out) -> int:
             compiled.trace,
             compiled.book,
             runtime=runtime,
-            granularity=cfg.granularity,
             include_lint=not args.no_lint,
         )
         sections.append((app, report))

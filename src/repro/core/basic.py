@@ -17,14 +17,32 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from itertools import repeat
+from typing import TYPE_CHECKING, Optional
 
 from .access import DataAccess
 from .signature import inverse_distance
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = ["BasicScheduler", "ScheduleState"]
+
+
+class _InverseRow(dict):
+    """``G → 1/distance(g, G)`` for one access signature ``g``, filled on
+    first lookup: one access meets few distinct group signatures."""
+
+    __slots__ = ("g", "n_nodes")
+
+    def __init__(self, g: int, n_nodes: int):
+        super().__init__()
+        self.g = g
+        self.n_nodes = n_nodes
+
+    def __missing__(self, group: int) -> float:
+        value = self[group] = inverse_distance(self.g, group, self.n_nodes)
+        return value
 
 
 @dataclass
@@ -110,7 +128,8 @@ class BasicScheduler:
         self.order = order
         self.weight_shape = weight_shape
         self._rng = random.Random(seed)
-        self._inverse_distances: dict[tuple[int, int], float] = {}
+        self._inverse_rows: dict[int, _InverseRow] = {}
+        self._kernels: dict[int, np.ndarray] = {}
         # σ_{|k|} for |k| = 0..δ (Eq. 3), or flat for the ablation.
         if weight_shape == "uniform":
             self._weights = [1.0] * (delta + 1)
@@ -144,11 +163,25 @@ class BasicScheduler:
         return total
 
     def _candidate_slots(self, access: DataAccess, state: ScheduleState) -> list[int]:
-        return [
-            t
-            for t in range(access.begin, access.end + 1)
-            if state.is_available(access, t)
-        ]
+        """Every start in :meth:`_first_last`'s range whose slots
+        ``[t, t+length)`` hold no access of the same process — the starts
+        :meth:`ScheduleState.is_available` accepts, found in one scan of
+        the slots the window covers."""
+        first, last_start = self._first_last(access)
+        taken = state.occupied.get(access.process)
+        if not taken:
+            return list(range(first, last_start + 1))
+        length = access.length
+        occupied = sorted(taken.intersection(range(first, last_start + length)))
+        free: list[int] = []
+        start = first
+        for s in occupied:
+            # Starts whose span ends before s are free; the ``length``
+            # starts whose span covers s are not.
+            free.extend(range(start, s - length + 1))
+            start = s + 1
+        free.extend(range(start, last_start + 1))
+        return free
 
     # ------------------------------------------------------------------
     # Vectorized scoring
@@ -157,38 +190,42 @@ class BasicScheduler:
         """The σ-weight kernel for an access of ``length`` slots: a flat
         top of weight 1 across the access's own span with the decaying
         tails on both sides.  ``length=1`` reduces to the basic σ_|k|."""
-        tail = self._weights[1:][::-1]  # σ_δ … σ_1
-        top = [1.0] * length
-        return np.array(tail + top + list(reversed(tail)), dtype=float)
+        kernel = self._kernels.get(length)
+        if kernel is None:
+            import numpy as np
+
+            tail = self._weights[1:][::-1]  # σ_δ … σ_1
+            top = [1.0] * length
+            kernel = self._kernels[length] = np.array(
+                tail + top + list(reversed(tail)), dtype=float
+            )
+        return kernel
 
     def _score_window(
         self, access: DataAccess, state: ScheduleState, first: int, last_start: int
-    ) -> np.ndarray:
+    ) -> list[float]:
         """Reuse factors for every start slot in ``[first, last_start]``.
 
         Equivalent to calling :meth:`reuse_factor` per slot (the test
         suite asserts exact agreement) but computed as one convolution of
-        the per-slot inverse distances with the σ kernel.
+        the per-slot inverse distances with the σ kernel.  numpy is
+        imported here, on the first compile, so processes that never
+        schedule never load it.
         """
+        import numpy as np
+
         g = access.signature
-        length = access.length  # flat-top width: slots t .. t+length-1
+        row = self._inverse_rows.get(g)
+        if row is None:
+            row = self._inverse_rows[g] = _InverseRow(g, self.n_nodes)
+        # Flat-top width: slots t .. t+length-1, plus δ on either side.
         lo = first - self.delta
-        hi = last_start + length - 1 + self.delta
-        group = state.group
-        n = self.n_nodes
-        # One access's signature meets few distinct group signatures, so
-        # each inverse distance is computed once per (g, G) pair.
-        memo = self._inverse_distances
-        values = []
-        for s in range(lo, hi + 1):
-            key = (g, group.get(s, 0))
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = inverse_distance(g, key[1], n)
-            values.append(value)
-        inv = np.array(values, dtype=float)
-        kernel = self._kernel(length)
-        return np.convolve(inv, kernel, mode="valid")
+        hi = last_start + access.length - 1 + self.delta
+        groups = map(state.group.get, range(lo, hi + 1), repeat(0))
+        inv = np.fromiter(map(row.__getitem__, groups), dtype=float,
+                          count=hi - lo + 1)
+        kernel = self._kernel(access.length)
+        return np.convolve(inv, kernel, mode="valid").tolist()
 
     def _choose(self, scored: list[tuple[int, float]]) -> int:
         """Pick the best-scoring slot, applying the tie-break rule.
@@ -222,7 +259,7 @@ class BasicScheduler:
             return []
         first, last_start = self._first_last(access)
         scores = self._score_window(access, state, first, last_start)
-        return [(t, float(scores[t - first])) for t in candidates]
+        return [(t, scores[t - first]) for t in candidates]
 
     def place(
         self, access: DataAccess, state: ScheduleState

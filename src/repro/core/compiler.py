@@ -119,9 +119,7 @@ def compile_schedule(
         # gate resolves it lazily to keep the import graph acyclic.
         from ..analysis import ScheduleVerificationError, verify_schedule
 
-        report = verify_schedule(
-            trace, book, granularity=options.granularity, include_lint=False
-        )
+        report = verify_schedule(trace, book, include_lint=False)
         if report.has_errors:
             raise ScheduleVerificationError(report)
     return CompileResult(

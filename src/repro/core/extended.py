@@ -59,11 +59,3 @@ class ExtendedScheduler(BasicScheduler):
         if last_start < access.begin:
             last_start = access.begin
         return access.begin, last_start
-
-    def _candidate_slots(self, access: DataAccess, state: ScheduleState) -> list[int]:
-        first, last_start = self._first_last(access)
-        return [
-            t
-            for t in range(first, last_start + 1)
-            if state.is_available(access, t)
-        ]

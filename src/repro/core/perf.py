@@ -14,6 +14,7 @@ is chosen (D_t = overloaded nodes, M_d = accesses on node d).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
 
 from .access import DataAccess
@@ -53,6 +54,7 @@ class ThetaConstrainedScheduler:
             raise ValueError(f"theta must be >= 1: {theta}")
         self.base = base
         self.theta = theta
+        self._nodes: dict[int, list[int]] = {}  # signature → its I/O nodes
 
     @property
     def n_nodes(self) -> int:
@@ -68,11 +70,18 @@ class ThetaConstrainedScheduler:
     ) -> bool:
         """θ holds when every I/O node the access touches stays ≤ θ in
         every slot the access occupies."""
+        nodes = self._nodes.get(access.signature)
+        if nodes is None:
+            nodes = self._nodes[access.signature] = [
+                node for node in range(state.n_nodes)
+                if access.signature >> node & 1
+            ]
         for s in range(slot, slot + access.length):
-            loads = state.load_at(s)
-            for node in range(state.n_nodes):
-                if access.signature >> node & 1 and loads[node] + 1 > self.theta:
-                    return False
+            loads = state.node_load.get(s)
+            if loads is not None:
+                for node in nodes:
+                    if loads[node] >= self.theta:
+                        return False
         return True
 
     def place(self, access: DataAccess, state: ScheduleState) -> Optional[int]:
@@ -82,8 +91,10 @@ class ThetaConstrainedScheduler:
             return None
         # Non-increasing score; equal scores follow the base tie-break
         # preference (latest slot first when tie_break == "latest").
-        tie_sign = -1 if self.base.tie_break == "latest" else 1
-        scored.sort(key=lambda pair: (-pair[1], tie_sign * pair[0]))
+        # ``scored`` comes in ascending slot order and the sort is stable.
+        if self.base.tie_break == "latest":
+            scored.reverse()
+        scored.sort(key=itemgetter(1), reverse=True)
         for slot, _score in scored:
             if self._satisfies_theta(access, slot, state):
                 state.commit(access, slot)

@@ -56,8 +56,8 @@ def producer_for(
     — that write itself.
 
     Public because the static verifier (:mod:`repro.analysis`) uses the
-    same resolution against the dependence oracle's writer table; the two
-    must never drift apart.
+    same resolution against the trace's writer table; the two must never
+    drift apart.
     """
     if not writers:
         return None

@@ -156,8 +156,8 @@ class Runner:
     ) -> "Report":
         """The static verifier's report on this workload's compiled schedule.
 
-        Verification reads the compilation, the runtime model and the
-        granularity — never the power policy — so every policy sharing a
+        Verification reads the compilation (its trace and book) and the
+        runtime model — never the power policy — so every policy sharing a
         compilation and runtime shares one report.  The report is what is
         memoised, errors included.
         """
@@ -165,14 +165,13 @@ class Runner:
 
         cfg = config or self.config
         runtime = RuntimeModel.from_session_config(cfg.session_config())
-        key = (self._compilation_key(workload, cfg), runtime, cfg.granularity)
+        key = (self._compilation_key(workload, cfg), runtime)
         if key not in self._verifications:
             compiled = self.compilation(workload, cfg)
             self._verifications[key] = verify_schedule(
                 compiled.trace,
                 compiled.book,
                 runtime=runtime,
-                granularity=cfg.granularity,
                 include_lint=False,
             )
         return self._verifications[key]

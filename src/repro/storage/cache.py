@@ -51,7 +51,8 @@ class StorageCache:
             raise ValueError(f"block_size must be positive: {block_size}")
         self.block_size = block_size
         self.capacity_blocks = capacity_bytes // block_size
-        self._blocks: OrderedDict[int, bool] = OrderedDict()  # block -> dirty
+        self._blocks: OrderedDict[int, None] = OrderedDict()  # LRU, oldest first
+        self._dirty: set[int] = set()  # resident blocks awaiting destage
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -94,17 +95,19 @@ class StorageCache:
                 self.stats.dirty_evictions += 1
             # A dirty insert must be flushed immediately.
             return [block] if dirty else []
+        if dirty:
+            self._dirty.add(block)
         if block in self._blocks:
-            self._blocks[block] = self._blocks[block] or dirty
             self._blocks.move_to_end(block)
             return []
-        self._blocks[block] = dirty
+        self._blocks[block] = None
         self.stats.insertions += 1
         flush: list[int] = []
         while len(self._blocks) > self.capacity_blocks:
-            victim, was_dirty = self._blocks.popitem(last=False)
+            victim, _ = self._blocks.popitem(last=False)
             self.stats.evictions += 1
-            if was_dirty:
+            if victim in self._dirty:
+                self._dirty.remove(victim)
                 self.stats.dirty_evictions += 1
                 flush.append(victim)
         return flush
@@ -114,18 +117,22 @@ class StorageCache:
         present and dirty (caller must flush if so)."""
         if block not in self._blocks:
             return False
-        dirty = self._blocks.pop(block)
+        del self._blocks[block]
         self.stats.invalidations += 1
-        return bool(dirty)
+        if block in self._dirty:
+            self._dirty.remove(block)
+            return True
+        return False
 
     def mark_clean(self, block: int) -> None:
         """Clear the dirty bit after a successful destage."""
-        if block in self._blocks:
-            self._blocks[block] = False
+        self._dirty.discard(block)
 
     def dirty_blocks(self) -> list[int]:
-        """All currently dirty blocks, LRU-oldest first."""
-        return [b for b, dirty in self._blocks.items() if dirty]
+        """All currently dirty blocks in ascending block order (the order
+        a destage writes them in), read from the dirty set rather than a
+        walk of the whole LRU."""
+        return sorted(self._dirty)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

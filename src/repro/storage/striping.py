@@ -107,6 +107,7 @@ class StripeMap:
                 f"extent [{offset}, {offset + size}) exceeds file "
                 f"{file.name!r} of size {file.size}"
             )
+        start = file.resolved_start(self.n_nodes)
         extents: list[Extent] = []
         cursor = offset
         remaining = size
@@ -114,7 +115,7 @@ class StripeMap:
             stripe_index = cursor // self.stripe_size
             within = cursor % self.stripe_size
             chunk = min(self.stripe_size - within, remaining)
-            node = self.node_of_stripe(file, stripe_index)
+            node = (start + stripe_index) % self.n_nodes
             local = (
                 file.base_row + stripe_index // self.n_nodes
             ) * self.stripe_size + within

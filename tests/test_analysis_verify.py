@@ -14,7 +14,6 @@ from repro.analysis import (
     RuntimeModel,
     ScheduleVerificationError,
     check_book,
-    oracle_writer_table,
     verify_schedule,
 )
 from repro.cli import main
@@ -22,6 +21,7 @@ from repro.core.access import DataAccess
 from repro.core.compiler import CompileResult, CompilerOptions, compile_schedule
 from repro.experiments import Runner, default_config
 from repro.ir.affine import var
+from repro.ir.dependence import AffineDependenceAnalyzer
 from repro.ir.profiling import trace_program
 from repro.ir.program import Compute, FileDecl, Loop, Program, Read, Write
 from repro.storage.striping import StripedFile, StripeMap
@@ -36,7 +36,7 @@ def cross_program() -> Program:
     Process ``p`` writes blocks ``[4p, 4p+4)`` in slots 0–3, then reads
     blocks ``[4(1−p), 4(1−p)+4)`` in slots 4–7, so every read has a
     cross-process producer at slot ``j`` and slack window ``[j+1, 4+j]``.
-    Fully affine: the polyhedral oracle applies.
+    Fully affine: the polyhedral analyzer applies.
     """
     p, i, j = var("p"), var("i"), var("j")
     files = {"f": FileDecl("f", 8, BLOCK)}
@@ -71,9 +71,11 @@ class TestCleanSchedules:
         assert not report.has_errors, report.render_text()
 
     def test_oracle_matches_profiling_path(self):
-        trace = trace_program(cross_program())
-        assert oracle_writer_table(trace, granularity=1) == (
-            trace.last_writer_table()
+        """The verifier checks producers against the trace's writer
+        table; the polyhedral analyzer must give the same table."""
+        program = cross_program()
+        assert AffineDependenceAnalyzer(program).last_writer_table() == (
+            trace_program(program).last_writer_table()
         )
 
 
@@ -176,7 +178,6 @@ class TestPaperWorkloadsVerifyClean:
             compiled.trace,
             compiled.book,
             runtime=RuntimeModel.from_session_config(cfg.session_config()),
-            granularity=cfg.granularity,
         )
         assert not report.has_errors, report.render_text(title=name)
 

@@ -169,9 +169,9 @@ class TestVerifyGating:
 
 
 class TestVerifyMemo:
-    """Verification depends on the compiled schedule, the runtime model
-    and the granularity, never on the power policy: one report per
-    compilation and runtime, reused by every scheme point sharing them."""
+    """Verification depends on the compiled schedule and the runtime
+    model, never on the power policy: one report per compilation and
+    runtime, reused by every scheme point sharing them."""
 
     @staticmethod
     def count_verifies(monkeypatch):
@@ -220,8 +220,7 @@ class TestVerifyMemo:
 
     def test_one_polyhedral_retrace_per_schedule(self, monkeypatch):
         """Four scheme policies on an affine workload: one profiling
-        trace for the compiler and one for the verifier's dependence
-        oracle (it used to be one per policy)."""
+        trace, shared by the compiler and the verifier of every policy."""
         import repro.experiments.runner
         import repro.ir.dependence
 
@@ -237,7 +236,7 @@ class TestVerifyMemo:
         runner = Runner(TINY)
         for policy in ("simple", "prediction", "history", "staggered"):
             execute_point(runner, RunPoint("sar", policy, True, TINY), verify=True)
-        assert len(traces) == 2
+        assert len(traces) == 1
 
 
 class TestRunnerKeying:

@@ -14,6 +14,8 @@ from repro.ir import (
     trace_program,
     var,
 )
+from repro.experiments import default_config
+from repro.workloads import all_workloads, get_workload
 
 
 class TestSolveAffineEqual:
@@ -68,6 +70,22 @@ class TestAnalyzer:
         prog = producer_consumer()
         analyzer = AffineDependenceAnalyzer(prog)
         assert analyzer.last_writer_table() == trace_program(prog).last_writer_table()
+
+    @pytest.mark.parametrize("scale", [0.01, 0.05])
+    @pytest.mark.parametrize(
+        "name", [w.name for w in all_workloads() if w.affine]
+    )
+    def test_agrees_on_registered_workloads(self, name, scale):
+        """The schedule verifier reads the profiling trace's writer table;
+        on every affine workload the analyzer must produce the same one."""
+        prog = get_workload(name).build(
+            n_processes=default_config().n_clients, scale=scale
+        )
+        assert prog.is_affine
+        assert (
+            AffineDependenceAnalyzer(prog).last_writer_table()
+            == trace_program(prog).last_writer_table()
+        )
 
     def test_last_writer_before(self):
         prog = producer_consumer(n_processes=1, steps=3)

@@ -1,6 +1,10 @@
 """Tests for the per-I/O-node storage cache."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage import StorageCache
 
@@ -129,12 +133,12 @@ class TestDirty:
         assert c.invalidate(2) is False
         assert c.invalidate(99) is False
 
-    def test_dirty_blocks_lru_order(self):
+    def test_dirty_blocks_sorted(self):
         c = make_cache()
         c.insert(3, dirty=True)
         c.insert(1, dirty=True)
         c.insert(2, dirty=False)
-        assert c.dirty_blocks() == [3, 1]
+        assert c.dirty_blocks() == [1, 3]
 
     def test_zero_capacity_cache_flushes_dirty_immediately(self):
         c = StorageCache(0, 64 * KB)
@@ -147,6 +151,77 @@ class TestDirty:
         c.lookup(1)
         c.lookup(2)
         assert c.stats.hit_rate == pytest.approx(0.5)
+
+
+class ScanCache:
+    """The cache as it stood with the dirty bit stored per LRU entry and
+    ``dirty_blocks`` a scan of the whole LRU (test oracle)."""
+
+    def __init__(self, capacity_blocks):
+        self.capacity_blocks = capacity_blocks
+        self.blocks = OrderedDict()  # block -> dirty
+
+    def lookup(self, block):
+        if block in self.blocks:
+            self.blocks.move_to_end(block)
+            return True
+        return False
+
+    def insert(self, block, dirty):
+        if self.capacity_blocks == 0:
+            return [block] if dirty else []
+        if block in self.blocks:
+            self.blocks[block] = self.blocks[block] or dirty
+            self.blocks.move_to_end(block)
+            return []
+        self.blocks[block] = dirty
+        flush = []
+        while len(self.blocks) > self.capacity_blocks:
+            victim, was_dirty = self.blocks.popitem(last=False)
+            if was_dirty:
+                flush.append(victim)
+        return flush
+
+    def invalidate(self, block):
+        return bool(self.blocks.pop(block, False))
+
+    def mark_clean(self, block):
+        if block in self.blocks:
+            self.blocks[block] = False
+
+    def dirty_scan(self):
+        return [b for b, dirty in self.blocks.items() if dirty]
+
+
+cache_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "insert_dirty", "lookup", "invalidate",
+                         "mark_clean"]),
+        st.integers(0, 12),
+    ),
+    max_size=80,
+)
+
+
+class TestDirtySetMatchesScan:
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(0, 5), ops=cache_ops)
+    def test_dirty_set_equals_lru_scan(self, capacity, ops):
+        """After any insert/evict/invalidate/mark_clean sequence the dirty
+        set is the old scan's, sorted, and every return value agrees."""
+        cache = make_cache(capacity_blocks=capacity)
+        oracle = ScanCache(capacity)
+        for op, block in ops:
+            if op == "insert":
+                assert cache.insert(block) == oracle.insert(block, False)
+            elif op == "insert_dirty":
+                assert cache.insert(block, dirty=True) == (
+                    oracle.insert(block, True)
+                )
+            else:
+                assert getattr(cache, op)(block) == getattr(oracle, op)(block)
+            assert cache.dirty_blocks() == sorted(oracle.dirty_scan())
+            assert len(cache) == len(oracle.blocks)
 
 
 class TestStatsAccounting:
