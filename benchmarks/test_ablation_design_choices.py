@@ -16,8 +16,6 @@ from repro.runtime import Session
 from repro.storage import StripedFile, StripeMap
 from repro.workloads import get_workload
 
-from conftest import run_once
-
 
 def _compiled(cfg, trace, **options):
     smap = StripeMap(cfg.stripe_size, cfg.n_ionodes)
@@ -59,7 +57,7 @@ def setup():
     return cfg, trace
 
 
-def test_ablation_tie_break(benchmark, setup):
+def test_ablation_tie_break(setup):
     """Latest-slot tie-breaking preserves long idle periods that random
     seeding fragments (DESIGN.md §7.2)."""
     cfg, trace = setup
@@ -72,7 +70,7 @@ def test_ablation_tie_break(benchmark, setup):
             results[rule] = (energy, cdf.mean_seconds)
         return results
 
-    results = run_once(benchmark, run)
+    results = run()
     for rule, (energy, mean_idle) in results.items():
         print(f"tie_break={rule:7}: energy={energy:10.1f} J  "
               f"mean idle={mean_idle:6.2f} s")
@@ -82,7 +80,7 @@ def test_ablation_tie_break(benchmark, setup):
     assert results["latest"][0] <= best * 1.05
 
 
-def test_ablation_scheduling_order(benchmark, setup):
+def test_ablation_scheduling_order(setup):
     """Shortest-slack-first (the paper's choice) versus longest-first and
     program order."""
     cfg, trace = setup
@@ -95,7 +93,7 @@ def test_ablation_scheduling_order(benchmark, setup):
             results[order] = energy
         return results
 
-    results = run_once(benchmark, run)
+    results = run()
     for order, energy in results.items():
         print(f"order={order:9}: energy={energy:10.1f} J")
     # Finding (recorded in EXPERIMENTS.md): on this substrate
@@ -107,7 +105,7 @@ def test_ablation_scheduling_order(benchmark, setup):
     assert results["shortest"] <= results["program"] * 1.05
 
 
-def test_ablation_weight_shape(benchmark, setup):
+def test_ablation_weight_shape(setup):
     """Eq. 3's decaying σ weights versus uniform weights over the
     vertical range."""
     cfg, trace = setup
@@ -120,19 +118,20 @@ def test_ablation_weight_shape(benchmark, setup):
             results[shape] = energy
         return results
 
-    results = run_once(benchmark, run)
+    results = run()
     for shape, energy in results.items():
         print(f"weights={shape:8}: energy={energy:10.1f} J")
     # Both work; the decaying shape must not be a regression.
     assert results["linear"] <= results["uniform"] * 1.10
 
 
-def test_ablation_arm_scheduling(benchmark, setup):
+def test_ablation_arm_scheduling(setup):
     """Elevator (Table II) versus FIFO disk-arm scheduling: elevator's
     shorter seeks keep mean response times at or below FIFO's."""
+    import random
+
     from repro.disk import DiskRequest, Drive
     from repro.sim import Simulator
-    import random
 
     def run():
         results = {}
@@ -157,7 +156,7 @@ def test_ablation_arm_scheduling(benchmark, setup):
             results[policy] = drive.stats.mean_response_time
         return results
 
-    results = run_once(benchmark, run)
+    results = run()
     for policy, resp in results.items():
         print(f"arm={policy:9}: mean response={resp * 1000:8.2f} ms")
     assert results["elevator"] <= results["fifo"]

@@ -13,16 +13,14 @@ import time
 from repro.core import CompilerOptions, SlackOptions, compile_schedule
 from repro.experiments import default_config
 from repro.ir import trace_program
-from repro.metrics import fleet_energy, idle_periods_until
+from repro.metrics import fleet_energy
 from repro.power import HistoryBasedMultiSpeed
 from repro.runtime import Session
 from repro.storage import StripedFile, StripeMap
 from repro.workloads import get_workload
 
-from conftest import run_once
 
-
-def test_ablation_granularity(benchmark):
+def test_ablation_granularity():
     cfg = default_config()
     program = get_workload("hf").build(cfg.n_clients, cfg.workload_scale)
     smap = StripeMap(cfg.stripe_size, cfg.n_ionodes)
@@ -65,7 +63,7 @@ def test_ablation_granularity(benchmark):
             }
         return results
 
-    results = run_once(benchmark, run)
+    results = run()
     for d, row in results.items():
         print(f"d={d}: slots={row['slots']:5d}  "
               f"compile={row['compile_s']:6.2f}s  "

@@ -8,11 +8,9 @@ thin long tail.
 
 from repro.experiments import APPS, fig12a
 
-from conftest import run_once
 
-
-def test_fig12a_idle_cdf_without(benchmark, runner):
-    result = run_once(benchmark, lambda: fig12a(runner))
+def test_fig12a_idle_cdf_without(runner):
+    result = fig12a(runner)
     print("\n" + result.text)
     data = result.data
     for app in APPS:

@@ -7,12 +7,10 @@ quotes ≤500 ms coverage dropping from ~90.4% to ~75.7%).
 
 from repro.experiments import APPS, fig12a, fig12b
 
-from conftest import run_once
 
-
-def test_fig12b_idle_cdf_with(benchmark, runner):
+def test_fig12b_idle_cdf_with(runner):
     without = fig12a(runner)
-    result = run_once(benchmark, lambda: fig12b(runner))
+    result = fig12b(runner)
     print("\n" + result.text)
     for app in APPS:
         fractions = list(result.data[app].values())

@@ -7,8 +7,6 @@ average savings in the paper); multi-speed beats spin-down.
 
 from repro.experiments import APPS, POLICIES, fig12c
 
-from conftest import run_once
-
 
 def averages(data):
     return {
@@ -17,8 +15,8 @@ def averages(data):
     }
 
 
-def test_fig12c_energy_without(benchmark, runner):
-    result = run_once(benchmark, lambda: fig12c(runner))
+def test_fig12c_energy_without(runner):
+    result = fig12c(runner)
     print("\n" + result.text)
     avg = averages(result.data)
     savings = {p: 1 - v for p, v in avg.items()}

@@ -7,8 +7,6 @@ multi-speed pair), with every policy strictly better than without it.
 
 from repro.experiments import APPS, POLICIES, fig12c, fig12d
 
-from conftest import run_once
-
 
 def averages(data):
     return {
@@ -17,9 +15,9 @@ def averages(data):
     }
 
 
-def test_fig12d_energy_with(benchmark, runner):
+def test_fig12d_energy_with(runner):
     without = averages(fig12c(runner).data)
-    result = run_once(benchmark, lambda: fig12d(runner))
+    result = fig12d(runner)
     print("\n" + result.text)
     avg = averages(result.data)
     for policy in POLICIES:

@@ -7,8 +7,6 @@ policies stay low, and multi-speed disks barely hurt.
 
 from repro.experiments import APPS, POLICIES, fig13a
 
-from conftest import run_once
-
 
 def averages(data):
     return {
@@ -17,8 +15,8 @@ def averages(data):
     }
 
 
-def test_fig13a_perf_without(benchmark, runner):
-    result = run_once(benchmark, lambda: fig13a(runner))
+def test_fig13a_perf_without(runner):
+    result = fig13a(runner)
     print("\n" + result.text)
     avg = averages(result.data)
     print("average degradation:", {p: f"{v:.1%}" for p, v in avg.items()})

@@ -7,8 +7,6 @@ and every policy's degradation is no worse than without the scheme.
 
 from repro.experiments import APPS, POLICIES, fig13a, fig13b
 
-from conftest import run_once
-
 
 def averages(data):
     return {
@@ -17,9 +15,9 @@ def averages(data):
     }
 
 
-def test_fig13b_perf_with(benchmark, runner):
+def test_fig13b_perf_with(runner):
     without = averages(fig13a(runner).data)
-    result = run_once(benchmark, lambda: fig13b(runner))
+    result = fig13b(runner)
     print("\n" + result.text)
     avg = averages(result.data)
     for policy in POLICIES:

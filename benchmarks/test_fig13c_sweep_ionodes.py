@@ -7,16 +7,13 @@ though the increments are modest because history-based already improves
 with node count.
 """
 
+from conftest import sweep_apps
 from repro.experiments import fig13c
 
-from conftest import run_once, sweep_apps
 
-
-def test_fig13c_sweep_ionodes(benchmark, runner):
+def test_fig13c_sweep_ionodes(runner):
     apps = sweep_apps()
-    result = run_once(
-        benchmark, lambda: fig13c(runner, values=(2, 4, 8, 16), apps=apps)
-    )
+    result = fig13c(runner, values=(2, 4, 8, 16), apps=apps)
     print("\n" + result.text)
     benefits = result.data
     # The scheme helps at the default shape and at larger node counts.

@@ -7,17 +7,14 @@ wrongly assumes sleeping disks are still active — so the curve peaks at a
 moderate δ.
 """
 
+from conftest import sweep_apps
 from repro.experiments import fig13d
 
-from conftest import run_once, sweep_apps
 
-
-def test_fig13d_sweep_delta(benchmark, runner):
+def test_fig13d_sweep_delta(runner):
     apps = sweep_apps()
     values = (5, 20, 80)
-    result = run_once(
-        benchmark, lambda: fig13d(runner, values=values, apps=apps)
-    )
+    result = fig13d(runner, values=values, apps=apps)
     print("\n" + result.text)
     benefits = result.data
     # The scheme helps at every δ...

@@ -5,17 +5,14 @@ Paper shape: a larger θ allows denser grouping and therefore more energy
 savings.
 """
 
+from conftest import sweep_apps
 from repro.experiments import fig14a
 
-from conftest import run_once, sweep_apps
 
-
-def test_fig14a_sweep_theta_energy(benchmark, runner):
+def test_fig14a_sweep_theta_energy(runner):
     apps = sweep_apps()
     values = (2, 4, 8)
-    result = run_once(
-        benchmark, lambda: fig14a(runner, values=values, apps=apps)
-    )
+    result = fig14a(runner, values=values, apps=apps)
     print("\n" + result.text)
     benefits = result.data
     assert all(b > 0 for b in benefits.values())

@@ -5,17 +5,14 @@ at worst barely affects) execution time relative to the bare history
 policy at every θ, and tight θ keeps the improvement from eroding.
 """
 
+from conftest import sweep_apps
 from repro.experiments import fig14b
 
-from conftest import run_once, sweep_apps
 
-
-def test_fig14b_sweep_theta_perf(benchmark, runner):
+def test_fig14b_sweep_theta_perf(runner):
     apps = sweep_apps()
     values = (2, 4, 8)
-    result = run_once(
-        benchmark, lambda: fig14b(runner, values=values, apps=apps)
-    )
+    result = fig14b(runner, values=values, apps=apps)
     print("\n" + result.text)
     improvements = result.data
     # The scheme never makes the policy-managed run meaningfully slower.

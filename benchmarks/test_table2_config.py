@@ -2,11 +2,9 @@
 
 from repro.experiments import table2_rows
 
-from conftest import run_once
 
-
-def test_table2_config(benchmark):
-    result = run_once(benchmark, table2_rows)
+def test_table2_config():
+    result = table2_rows()
     print("\n" + result.text)
     data = dict(result.data)
     # The Table II anchors.

@@ -3,11 +3,9 @@ Default Scheme (no power management, no scheduling)."""
 
 from repro.experiments import table3
 
-from conftest import run_once
 
-
-def test_table3_defaults(benchmark, runner):
-    result = run_once(benchmark, lambda: table3(runner))
+def test_table3_defaults(runner):
+    result = table3(runner)
     print("\n" + result.text)
     data = result.data
     # Every app simulated; wupwise is the longest run and hf is among the

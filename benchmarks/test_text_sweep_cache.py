@@ -10,19 +10,14 @@ import os
 
 from repro.experiments import APPS, cache_sensitivity
 
-from conftest import run_once
 
-
-def test_cache_sensitivity(benchmark, runner):
+def test_cache_sensitivity(runner):
     # The sweep must include the cache-sensitive workload: madbench2's
     # out-of-core scans are what a bigger storage cache absorbs.
     apps = APPS if os.environ.get("REPRO_FULL_SWEEPS") else (
         "madbench2", "sar", "wupwise"
     )
-    result = run_once(
-        benchmark,
-        lambda: cache_sensitivity(runner, sizes_mb=(32, 64, 256), apps=apps),
-    )
+    result = cache_sensitivity(runner, sizes_mb=(32, 64, 256), apps=apps)
     print("\n" + result.text)
     benefits = result.data
     assert all(b > 0 for b in benefits.values())

@@ -39,7 +39,7 @@ Thirteen subcommands:
   energy escapes its certified envelope;
 * ``serve`` — run the persistent scheduling service: JSON-over-HTTP
   submission of experiment points and grids into a bounded work queue
-  backed by the supervisor/executor/cache stack, with per-tenant cache
+  backed by the campaign/cache stack, with per-tenant cache
   namespaces, coalescing of identical in-flight submissions, 429 +
   ``Retry-After`` backpressure, and graceful drain on SIGTERM/SIGINT;
 * ``loadtest`` — drive the synthetic load harness at a scheduling
@@ -56,22 +56,26 @@ covered, ``--strict`` promotes warnings to failures, and exit codes mean
 0 = clean, 1 = findings (errors, or warnings under ``--strict``),
 2 = usage/environment error.
 
-``run`` and ``figure`` go through the parallel executor: ``--jobs N``
-fans simulations out over N worker processes, and every finished point is
-persisted in a content-addressed cache (``--cache-dir``, default
-``$REPRO_CACHE_DIR`` or ``.repro-cache``; disable with ``--no-cache``) so
-repeat invocations skip simulation entirely.  Both also take ``--trace
-PATH`` (JSONL span trace of every simulated point; forces serial) and
-``--metrics PATH`` (merged metrics snapshot; per-point files are merged
-deterministically, so parallel workers are fine).
+``run``, ``figure`` and ``tournament`` each resolve their grid through
+one campaign (:class:`~repro.exec.supervise.CampaignSupervisor`), built
+by one builder from the shared flags: ``--jobs N`` fans simulations out
+over N worker processes, and every finished point is persisted in a
+content-addressed cache (``--cache-dir``, default ``$REPRO_CACHE_DIR`` or
+``.repro-cache``; disable with ``--no-cache``) so repeat invocations skip
+simulation entirely.  ``--retries N`` retries a crashed point with
+deterministic seeded backoff, ``--timeout SEC`` arms a per-point watchdog
+(the hung worker's pool is respawned), worker deaths recover via pool
+respawn + quarantine, ``--keep-going`` collects every failure instead of
+aborting on the first, and ``--journal PATH`` checkpoints each point's
+outcome so ``repro resume PATH`` can continue after a SIGINT or crash.
+``run`` and ``figure`` also take ``--trace PATH`` (JSONL span trace of
+every simulated point; forces serial) and ``--metrics PATH`` (merged
+metrics snapshot; per-point files are merged deterministically, so
+parallel workers are fine).
 
-Both simulate under the campaign supervisor: ``--retries N`` retries a
-crashed point with deterministic seeded backoff, ``--timeout SEC`` arms
-a per-point watchdog (the hung worker's pool is respawned), worker
-deaths recover via pool respawn + quarantine, ``--keep-going`` collects
-every failure instead of aborting on the first, and ``--journal PATH``
-checkpoints each point's outcome so ``repro resume PATH`` can continue
-after a SIGINT or crash.
+A numeric option out of range (``--jobs 0``, ``--retries -1``,
+``--timeout 0``, ``--scale -1``, ``--clients 0``...) is a usage error:
+exit 2 with a message, never a traceback.
 
 Examples::
 
@@ -105,7 +109,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .experiments import (
     APPS,
@@ -171,10 +175,28 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _nonnegative_int(value: str) -> int:
+    """argparse ``type`` for counts that may be 0."""
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {value}")
+    return number
+
+
+def _positive_float(value: str) -> float:
+    """argparse ``type`` for durations that must be finite and > 0."""
+    import math
+
+    number = float(value)
+    if not (math.isfinite(number) and number > 0):
+        raise argparse.ArgumentTypeError(f"must be > 0: {value}")
+    return number
+
+
 def _add_exec_flags(sub_parser: argparse.ArgumentParser) -> None:
-    """Executor knobs shared by the simulating subcommands."""
+    """Campaign knobs shared by the simulating subcommands."""
     sub_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_positive_int, default=1, metavar="N",
         help="worker processes for the run grid (default: 1 = in-process)")
     sub_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR", type=_path,
@@ -184,11 +206,11 @@ def _add_exec_flags(sub_parser: argparse.ArgumentParser) -> None:
         "--no-cache", action="store_true",
         help="neither read nor write the on-disk result cache")
     sub_parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SEC",
+        "--timeout", type=_positive_float, default=None, metavar="SEC",
         help="per-point watchdog: a point still running after SEC seconds "
         "has its worker pool respawned and is retried")
     sub_parser.add_argument(
-        "--retries", type=int, default=1, metavar="N",
+        "--retries", type=_nonnegative_int, default=1, metavar="N",
         help="extra attempts for a crashed/timed-out point, with "
         "deterministic seeded backoff (default: 1)")
     group = sub_parser.add_mutually_exclusive_group()
@@ -297,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resume_p.add_argument("journal", metavar="JOURNAL",
                           help="journal written by run/figure --journal")
-    resume_p.add_argument("--jobs", type=int, default=None, metavar="N",
+    resume_p.add_argument("--jobs", type=_positive_int, default=None,
+                          metavar="N",
                           help="override the journaled worker count")
 
     bench_p = sub.add_parser(
@@ -404,10 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="target server, e.g. http://127.0.0.1:8177 "
                         "(default: spin one up in-process on an ephemeral "
                         "port with a temporary cache)")
-    load_p.add_argument("--clients", type=int, default=32, metavar="N",
+    load_p.add_argument("--clients", type=_positive_int, default=32,
+                        metavar="N",
                         help="concurrent clients, one keep-alive "
                         "connection each (default: 32)")
-    load_p.add_argument("--requests", type=int, default=4, metavar="N",
+    load_p.add_argument("--requests", type=_positive_int, default=4,
+                        metavar="N",
                         help="requests per client (default: 4)")
     load_p.add_argument("--apps", default="sar,hf", metavar="A,B,...",
                         help="comma-separated workload mix "
@@ -511,8 +536,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(args, message) -> NoReturn:
+    """Exit 2 with ``message``, in argparse's format."""
+    print(f"repro {args.command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _base_config(args, scale: Optional[float]) -> "ExperimentConfig":
+    """Table II at ``scale`` (None: ``REPRO_SCALE`` or 0.25).  A scale the
+    config refuses (not finite and positive) is a usage error."""
+    try:
+        return default_config(scale=scale)
+    except ValueError as exc:
+        _usage_error(args, exc)
+
+
 def _config(args) -> "ExperimentConfig":
-    cfg = default_config(scale=args.scale)
+    """The invocation's config: ``--scale`` plus the subcommand's field
+    overrides.  A value the config refuses (zero clients or I/O nodes, a
+    bad scale) is a usage error."""
+    cfg = _base_config(args, args.scale)
     overrides = {}
     for field, attr in (
         ("n_clients", "clients"),
@@ -529,7 +572,10 @@ def _config(args) -> "ExperimentConfig":
         from .faults import load_plan
 
         overrides["fault_plan"] = load_plan(args.faults)
-    return cfg.scaled(**overrides) if overrides else cfg
+    try:
+        return cfg.scaled(**overrides) if overrides else cfg
+    except ValueError as exc:
+        _usage_error(args, exc)
 
 
 def _resolved_cache_dir(args) -> Optional[str]:
@@ -544,29 +590,6 @@ def _resolved_cache_dir(args) -> Optional[str]:
         or os.environ.get("REPRO_CACHE_DIR")
         or ".repro-cache"
     )
-
-
-def _executor(args):
-    """Build (executor, cache) from the shared --jobs/--cache/obs flags."""
-    import tempfile
-
-    from .exec import ExperimentExecutor, ResultCache
-
-    cache_dir = _resolved_cache_dir(args)
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    metrics_dir = None
-    if getattr(args, "metrics", None):
-        # Per-point snapshots land in a scratch dir; the command merges
-        # them into the single --metrics file once the grid resolves.
-        metrics_dir = tempfile.mkdtemp(prefix="repro-metrics-")
-    executor = ExperimentExecutor(
-        jobs=args.jobs,
-        cache=cache,
-        metrics_dir=metrics_dir,
-        trace_path=getattr(args, "trace", None),
-        trace_detail=getattr(args, "trace_detail", False),
-    )
-    return executor, cache
 
 
 #: Options whose ``None`` default is resolved from the environment at run
@@ -615,25 +638,43 @@ def _campaign_argv(args, command: str) -> list[str]:
     return argv
 
 
-def _supervisor(args, executor, command: str):
-    """The campaign supervisor for a run/figure invocation (always built:
-    with default flags it adds nothing but crash-retry to the executor)."""
-    from .exec import CampaignJournal, CampaignSupervisor, SupervisorPolicy
+def _build_campaign(args, command: str, baseline: bool = False):
+    """The campaign of a run/figure/tournament invocation, from the shared
+    --jobs/--cache-dir/--retries/--timeout/--keep-going/--journal flags
+    and the obs flags.
 
-    journal = None
-    if args.journal:
+    ``baseline=True`` builds ``run``'s unobserved baseline pass: the same
+    cache, jobs and retry policy, but no telemetry outputs and no
+    journal.
+    """
+    import tempfile
+
+    from .exec import CampaignJournal, CampaignSupervisor, ResultCache
+
+    cache_dir = _resolved_cache_dir(args)
+    metrics_dir = journal = None
+    if getattr(args, "metrics", None) and not baseline:
+        # Per-point snapshots land in a scratch dir; the command merges
+        # them into the single --metrics file once the grid resolves.
+        metrics_dir = tempfile.mkdtemp(prefix="repro-metrics-")
+    if args.journal and not baseline:
         journal = CampaignJournal(
             args.journal, argv=_campaign_argv(args, command)
         )
-    policy = SupervisorPolicy(
+    return CampaignSupervisor(
+        jobs=args.jobs,
+        cache=ResultCache(cache_dir) if cache_dir is not None else None,
+        metrics_dir=metrics_dir,
+        trace_path=None if baseline else getattr(args, "trace", None),
+        trace_detail=getattr(args, "trace_detail", False),
         timeout=args.timeout,
         retries=args.retries,
         keep_going=args.keep_going,
+        journal=journal,
     )
-    return CampaignSupervisor(executor, policy, journal=journal)
 
 
-def _campaign(args, supervisor, body):
+def _campaign(args, campaign, body):
     """Run ``body()`` under the campaign exit contract of run, figure and
     tournament; returns ``(value, None)``, or ``(None, exit_code)``.
 
@@ -655,8 +696,8 @@ def _campaign(args, supervisor, body):
         print(f"campaign failed: {exc}", file=sys.stderr)
         return None, 1
     finally:
-        if supervisor.journal is not None:
-            supervisor.journal.close()
+        if campaign.journal is not None:
+            campaign.journal.close()
 
 
 def _report_failures(report, out) -> None:
@@ -668,19 +709,19 @@ def _report_failures(report, out) -> None:
         )
 
 
-def _finish_obs(args, executor) -> None:
+def _finish_obs(args, campaign) -> None:
     """Merge per-point metrics into the --metrics file; announce outputs."""
     import shutil
 
-    if executor.metrics_dir is not None:
+    if campaign.metrics_dir is not None:
         from .exec import merge_metrics_dir
         from .obs.metrics import write_snapshot
 
-        write_snapshot(merge_metrics_dir(executor.metrics_dir), args.metrics)
-        shutil.rmtree(executor.metrics_dir, ignore_errors=True)
+        write_snapshot(merge_metrics_dir(campaign.metrics_dir), args.metrics)
+        shutil.rmtree(campaign.metrics_dir, ignore_errors=True)
         print(f"[obs] metrics written to {args.metrics}", file=sys.stderr)
-    if executor.trace_path is not None:
-        print(f"[obs] trace written to {executor.trace_path}", file=sys.stderr)
+    if campaign.trace_path is not None:
+        print(f"[obs] trace written to {campaign.trace_path}", file=sys.stderr)
 
 
 def cmd_list(_args, out) -> int:
@@ -699,37 +740,35 @@ def cmd_list(_args, out) -> int:
 
 
 def cmd_run(args, out) -> int:
-    from .exec import CampaignSupervisor, ExperimentExecutor, RunPoint
+    from .exec import RunPoint
 
     cfg = _config(args)
-    executor, cache = _executor(args)
-    supervisor = _supervisor(args, executor, "run")
-    runner = Runner(cfg, cache=cache)
+    campaign = _build_campaign(args, "run")
+    runner = Runner(cfg)
     base_point = RunPoint(args.app, "default", False, cfg)
     target_point = RunPoint(args.app, args.policy, args.scheme, cfg)
 
     def simulate():
         points = [base_point, target_point]
-        if executor.observed and target_point != base_point:
+        if campaign.observed and target_point != base_point:
             # Only the requested configuration runs instrumented: merging
             # the baseline's gauges in (max semantics) would make the
             # snapshot describe neither run — in particular the
             # per-family energy gauges would no longer sum to the total
             # exactly.
-            CampaignSupervisor(
-                ExperimentExecutor(jobs=args.jobs, cache=cache),
-                supervisor.policy,
-            ).warm_runner(runner, [base_point]).raise_if_failed()
+            _build_campaign(args, "run", baseline=True).warm_runner(
+                runner, [base_point]
+            ).raise_if_failed()
             points = [target_point]
-        return supervisor.warm_runner(runner, points)
+        return campaign.warm_runner(runner, points)
 
-    report, code = _campaign(args, supervisor, simulate)
+    report, code = _campaign(args, campaign, simulate)
     if code is not None:
         return code
     if report.failures:
         _report_failures(report, out)
         return 1
-    _finish_obs(args, executor)
+    _finish_obs(args, campaign)
     base = runner.baseline(args.app)
     run = runner.run(args.app, args.policy, args.scheme)
     rows = [
@@ -761,17 +800,12 @@ def cmd_run(args, out) -> int:
 def cmd_figure(args, out) -> int:
     from .exec import figure_points
 
-    cfg = default_config(scale=args.scale)
-    if getattr(args, "faults", None):
-        from .faults import load_plan
-
-        cfg = cfg.scaled(fault_plan=load_plan(args.faults))
-    executor, cache = _executor(args)
-    supervisor = _supervisor(args, executor, "figure")
-    runner = Runner(cfg, cache=cache)
+    cfg = _config(args)
+    campaign = _build_campaign(args, "figure")
+    runner = Runner(cfg)
     report, code = _campaign(
-        args, supervisor,
-        lambda: supervisor.warm_runner(runner, figure_points(args.name, cfg)),
+        args, campaign,
+        lambda: campaign.warm_runner(runner, figure_points(args.name, cfg)),
     )
     if code is not None:
         return code
@@ -780,13 +814,13 @@ def cmd_figure(args, out) -> int:
         # in-process; report the partial campaign instead.
         _report_failures(report, out)
         return 1
-    _finish_obs(args, executor)
+    _finish_obs(args, campaign)
     result = FIGURES[args.name](runner)
     print(result.text, file=out)
-    stats = executor.stats
+    counts = report.counts()
     print(
-        f"[exec] points={stats.points} cache_hits={stats.cache_hits} "
-        f"simulated={stats.simulated} jobs={args.jobs}",
+        f"[exec] points={len(report.outcomes)} cache_hits={counts['cached']} "
+        f"simulated={counts['ok']} jobs={args.jobs}",
         file=sys.stderr,
     )
     return 0
@@ -844,7 +878,7 @@ def cmd_bench(args, out) -> int:
         print("--max-trace-overhead needs --trace", file=sys.stderr)
         return 2
     record = run_bench(
-        config=default_config(scale=scale),
+        config=_base_config(args, scale),
         figures=tuple(figures),
         trace_path=args.trace,
         repeats=args.repeats,
@@ -929,11 +963,9 @@ def cmd_tournament(args, out) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    cfg = default_config(scale=args.scale)
-    executor, cache = _executor(args)
-    supervisor = _supervisor(args, executor, "tournament")
-    runner = Runner(cfg, cache=cache)
-    doc, code = _campaign(args, supervisor, lambda: run_tournament(
+    cfg = _config(args)
+    campaign = _build_campaign(args, "tournament")
+    doc, code = _campaign(args, campaign, lambda: run_tournament(
         cfg,
         workloads=workloads or TOURNAMENT_WORKLOADS,
         entrants=(
@@ -941,8 +973,7 @@ def cmd_tournament(args, out) -> int:
             if entrant_names else DEFAULT_ENTRANTS
         ),
         scenarios=scenarios or SCENARIOS,
-        runner=runner,
-        supervisor=supervisor,
+        supervisor=campaign,
     ))
     if code is not None:
         return code
@@ -1006,7 +1037,7 @@ def cmd_serve(args, out) -> int:
 
     from .serve import SchedulingServer, ServerConfig
 
-    cfg = default_config(scale=args.scale)
+    cfg = _config(args)
     cache_dir = _resolved_cache_dir(args)
     if args.recover is not None and args.wal is not None \
             and args.recover != args.wal:
@@ -1118,7 +1149,7 @@ def cmd_loadtest(args, out) -> int:
                 )
             )
         else:
-            cfg = default_config(scale=args.scale)
+            cfg = _base_config(args, args.scale)
             with tempfile.TemporaryDirectory(
                 prefix="repro-loadtest-cache-"
             ) as td:

@@ -8,16 +8,18 @@ Layout:
   :data:`~repro.exec.serialize.SCHEMA_VERSION`;
 * :mod:`~repro.exec.cache` — :class:`ResultCache`, a content-addressed
   on-disk store keyed by the canonical config digest;
-* :mod:`~repro.exec.executor` — :class:`ExperimentExecutor`, which
-  resolves grid points against the cache and stores fresh results, and
+* :mod:`~repro.exec.executor` — :class:`RunPoint`, one grid cell, and
   :func:`execute_point` (verify gating, then simulation);
 * :mod:`~repro.exec.grid` — which run points each paper figure consumes;
 * :mod:`~repro.exec.journal` — :class:`DurableJournal`, the fsync'd
   truncated-tail-tolerant JSONL substrate shared by the campaign journal
   and the scheduling server's admission WAL (``repro serve --recover``);
 * :mod:`~repro.exec.supervise` — :class:`CampaignSupervisor`, the one
-  point runner (in-process or on a worker pool with one shared Runner
-  per worker): watchdog timeouts, seeded-backoff retries, worker-crash
+  campaign object: it holds a grid's configuration (jobs, cache, verify
+  gating, observability outputs, retry policy, journal), resolves points
+  against the cache, runs the misses (in-process or on a worker pool
+  with one shared Runner per worker) and stores fresh results, with
+  watchdog timeouts, seeded-backoff retries, worker-crash
   recovery/quarantine, the resumable JSONL campaign journal and
   partial-failure reports;
 * :mod:`~repro.exec.bench` — the ``BENCH_*.json`` record CI gates on:
@@ -28,8 +30,6 @@ Layout:
 from .bench import QUICK_FIGURES, run_bench, write_bench_record
 from .cache import CacheStats, ResultCache, point_digest
 from .executor import (
-    ExecStats,
-    ExperimentExecutor,
     RunPoint,
     VerifyFailure,
     execute_point,
@@ -65,7 +65,6 @@ from .supervise import (
     CampaignSupervisor,
     PointFailure,
     PointTimeout,
-    SupervisorPolicy,
     WorkerFailure,
     backoff_delay,
     load_journal,
@@ -89,8 +88,6 @@ __all__ = [
     "ResultCache",
     "RunPoint",
     "VerifyFailure",
-    "ExecStats",
-    "ExperimentExecutor",
     "execute_point",
     "merge_metrics_dir",
     "figure_points",
@@ -107,7 +104,6 @@ __all__ = [
     "CampaignSupervisor",
     "PointFailure",
     "PointTimeout",
-    "SupervisorPolicy",
     "WorkerFailure",
     "backoff_delay",
     "load_journal",

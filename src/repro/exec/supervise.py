@@ -1,14 +1,24 @@
-"""Campaign supervision: the one code path that runs grid points.
+"""Campaigns: the one object that resolves a grid of points.
 
-:class:`CampaignSupervisor` takes the cache misses an
-:class:`~repro.exec.executor.ExperimentExecutor` resolved and runs them —
-in-process for ``jobs <= 1`` (or a traced campaign), otherwise on a
-``ProcessPoolExecutor`` whose workers each keep one process-global
-:class:`~repro.experiments.runner.Runner`, so traces and compilations are
-built once per *worker*, not once per point.  Every fresh result is
-stored through the executor the moment its point completes.  Around that
-sits the machinery a multi-hour figure campaign needs to survive partial
-failure:
+A *campaign* is one experiment grid run with caching, retries and a
+journal.  :class:`CampaignSupervisor` owns its whole configuration —
+worker count, the optional content-addressed
+:class:`~repro.exec.cache.ResultCache`, verify gating, observability
+outputs, the retry/watchdog policy and the journal — and resolves a grid
+in three steps:
+
+1. dedupe the points and look every one up in the cache (a hit costs one
+   JSON read, no simulation, no worker dispatch);
+2. run the misses through :func:`~repro.exec.executor.execute_point` —
+   in-process for ``jobs <= 1`` (or a traced campaign), otherwise on a
+   ``ProcessPoolExecutor`` whose workers each keep one process-global
+   :class:`~repro.experiments.runner.Runner`, so traces and compilations
+   are built once per *worker*, not once per point;
+3. store each fresh result the moment its point completes (atomic,
+   content-addressed, so concurrent writers are safe).
+
+Around that sits the machinery a multi-hour figure campaign needs to
+survive partial failure:
 
 * **watchdog timeout** — a point that exceeds ``timeout`` seconds has
   its (unkillable-in-place) worker pool torn down and respawned; the
@@ -21,10 +31,10 @@ failure:
   and requeues the unfinished points.  Because a pool break cannot name
   its killer, the supervisor drops to *solo mode* (one in-flight point
   at a time) until a point completes: in solo mode blame is exact, so a
-  point that breaks its pool ``quarantine_after`` times is quarantined
-  without taking innocent siblings with it.  If the pool keeps breaking
-  (``max_pool_breaks`` consecutive times) the supervisor degrades to
-  serial in-process execution for the remainder;
+  point that breaks its pool :data:`QUARANTINE_AFTER` times is
+  quarantined without taking innocent siblings with it.  If the pool
+  keeps breaking (:data:`MAX_POOL_BREAKS` consecutive times) the
+  supervisor degrades to serial in-process execution for the remainder;
 * **campaign journal** — a JSONL log of ``(point digest, outcome)``
   written (appended, flushed, fsynced) as each point resolves.  The
   journal stores *only* digests and outcomes, never results — all data
@@ -62,9 +72,8 @@ from typing import Any, Callable, Iterable, Optional, Union
 from ..experiments.runner import Runner, RunResult
 from ..obs.base import Observability
 from ..obs.metrics import MetricsRegistry, write_snapshot
-from .cache import point_digest
+from .cache import ResultCache, point_digest
 from .executor import (
-    ExperimentExecutor,
     RunPoint,
     VerifyFailure,
     execute_point,
@@ -89,7 +98,6 @@ __all__ = [
     "WorkerFailure",
     "PointTimeout",
     "CampaignFailed",
-    "SupervisorPolicy",
     "backoff_delay",
     "CampaignJournal",
     "load_journal",
@@ -117,6 +125,15 @@ OUTCOMES = (
 
 #: Retry-backoff histogram bounds (seconds) for ``exec.retry_backoff_s``.
 RETRY_BACKOFF_BOUNDS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0)
+
+# Supervision constants, read at call time so tests can monkeypatch them.
+#: First-retry backoff (seconds); doubles per attempt up to the cap.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+#: Quarantine a point after this many pool breaks blamed on it.
+QUARANTINE_AFTER = 2
+#: Consecutive pool breaks before degrading to serial execution.
+MAX_POOL_BREAKS = 3
 
 
 class WorkerFailure(RuntimeError):
@@ -195,21 +212,38 @@ BOUNDARY_ERRORS: tuple[type, ...] = (VerifyFailure, WorkerFailure)
 _WORKER_RUNNER: Optional[Runner] = None
 
 
+def _run_one(
+    runner: Runner,
+    point: RunPoint,
+    verify: bool,
+    metrics_dir: Optional[str] = None,
+    tracer=None,
+) -> RunResult:
+    """One point's body, shared by the serial pass and the pool worker:
+    build its observability context, run it, write its metrics snapshot."""
+    obs = None
+    if metrics_dir is not None or tracer is not None:
+        if tracer is not None:
+            tracer.set_context(point=point.label())
+        obs = Observability(
+            tracer=tracer,
+            metrics=MetricsRegistry() if metrics_dir is not None else None,
+        )
+    result = execute_point(runner, point, verify=verify, obs=obs)
+    if metrics_dir is not None:
+        write_snapshot(
+            obs.metrics.snapshot(), metrics_path_for(metrics_dir, point)
+        )
+    return result
+
+
 def _worker_run(
     point: RunPoint, verify: bool, metrics_dir: Optional[str] = None
 ) -> RunResult:
     global _WORKER_RUNNER
     if _WORKER_RUNNER is None:
         _WORKER_RUNNER = Runner(point.config)
-    obs = None
-    if metrics_dir is not None:
-        obs = Observability(metrics=MetricsRegistry())
-    result = execute_point(_WORKER_RUNNER, point, verify=verify, obs=obs)
-    if obs is not None:
-        write_snapshot(
-            obs.metrics.snapshot(), metrics_path_for(metrics_dir, point)
-        )
-    return result
+    return _run_one(_WORKER_RUNNER, point, verify, metrics_dir)
 
 
 def _supervised_worker_run(
@@ -237,43 +271,13 @@ def _supervised_worker_run(
 
 
 # ----------------------------------------------------------------------
-# Policy and deterministic backoff
+# Deterministic backoff
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SupervisorPolicy:
-    """Tunable supervision knobs (all orthogonal to simulation inputs)."""
-
-    #: Watchdog seconds per attempt; None disables the watchdog.
-    timeout: Optional[float] = None
-    #: Extra attempts after the first, per point.
-    retries: int = 1
-    #: First-retry backoff (seconds); doubles per attempt up to the cap.
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    #: Quarantine a point after this many pool breaks blamed on it.
-    quarantine_after: int = 2
-    #: Consecutive pool breaks before degrading to serial execution.
-    max_pool_breaks: int = 3
-    #: Collect failures and keep running (vs fail-fast on the first).
-    keep_going: bool = False
-
-    def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0: {self.timeout}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0: {self.retries}")
-        if self.quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be >= 1: {self.quarantine_after}"
-            )
-        if self.max_pool_breaks < 1:
-            raise ValueError(
-                f"max_pool_breaks must be >= 1: {self.max_pool_breaks}"
-            )
-
-
 def backoff_delay(
-    digest: str, attempt: int, base: float = 0.05, cap: float = 2.0
+    digest: str,
+    attempt: int,
+    base: float = BACKOFF_BASE,
+    cap: float = BACKOFF_CAP,
 ) -> float:
     """Deterministic jittered exponential backoff.
 
@@ -426,31 +430,68 @@ class _Task:
 
 
 class CampaignSupervisor:
-    """Retrying, journaling, crash-recovering runner for a point grid.
+    """One campaign: cache resolution, supervised execution, result
+    storage, journal and observability outputs for a grid of points.
 
-    Runs the misses of an :class:`ExperimentExecutor` (which contributes
-    jobs/cache/verify/observability configuration and ``stats``) without
-    touching any determinism contract: every point goes through
-    :func:`execute_point`, results are stored under their content
-    digests, and a fault-free campaign is bit-identical at any ``jobs``.
-
-    Each result is stored the moment its point completes.  That
-    per-point checkpointing is what makes SIGINT/SIGKILL cheap: an
-    interrupted campaign has lost only its in-flight points.
+    Every point goes through :func:`execute_point`, results are stored
+    under their content digests, and a fault-free campaign is
+    bit-identical at any ``jobs``.  Each result is stored the moment its
+    point completes.  That per-point checkpointing is what makes
+    SIGINT/SIGKILL cheap: an interrupted campaign has lost only its
+    in-flight points.
     """
 
     def __init__(
         self,
-        executor: ExperimentExecutor,
-        policy: Optional[SupervisorPolicy] = None,
+        *,
+        jobs: int = 1,
+        cache: Optional[ResultCache] = None,
+        verify: bool = True,
+        metrics_dir: Optional[Union[str, Path]] = None,
+        trace_path: Optional[Union[str, Path]] = None,
+        trace_detail: bool = False,
+        timeout: Optional[float] = None,
+        retries: int = 1,
+        keep_going: bool = False,
         journal: Optional[CampaignJournal] = None,
-        metrics: Optional[MetricsRegistry] = None,
         worker_fn: Optional[Callable[..., RunResult]] = None,
     ):
-        self.executor = executor
-        self.policy = policy or SupervisorPolicy()
+        """``jobs`` is the worker count misses run on (1 = in-process).
+        ``metrics_dir`` makes every simulated point write a per-point
+        metrics snapshot (digest-named, safe under parallel workers);
+        merge with :func:`~repro.exec.executor.merge_metrics_dir`.
+        ``trace_path`` streams span events for every point into one JSONL
+        file — traced misses run serially, because interleaving
+        concurrent runs into one ordered stream would be
+        nondeterministic.  ``trace_detail`` adds per-operation records
+        (MPI-IO calls, disk requests, network transfers, I/O-node ops)
+        to the lifecycle trace.  Either output also disables cache
+        *reads* (a hit would produce no telemetry); fresh results are
+        still written back.
+
+        ``timeout`` is the watchdog's seconds per attempt (None disables
+        it), ``retries`` the extra attempts per point, and
+        ``keep_going`` collects failures instead of raising the first.
+        """
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1: {jobs}")
+        if timeout is not None and timeout <= 0:
+            raise ValueError(f"timeout must be > 0: {timeout}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0: {retries}")
+        self.jobs = jobs
+        self.cache = cache
+        self.verify = verify
+        self.metrics_dir = (
+            str(metrics_dir) if metrics_dir is not None else None
+        )
+        self.trace_path = Path(trace_path) if trace_path is not None else None
+        self.trace_detail = trace_detail
+        self.timeout = timeout
+        self.retries = retries
+        self.keep_going = keep_going
         self.journal = journal
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         # Pre-register so a --metrics snapshot always carries the exec.*
         # family, zeros included.
         for name in (
@@ -467,6 +508,11 @@ class CampaignSupervisor:
         # module-level callable with _worker_run's signature.
         self._worker_fn = worker_fn or _supervised_worker_run
 
+    @property
+    def observed(self) -> bool:
+        """Whether this campaign emits telemetry for the points it runs."""
+        return self.metrics_dir is not None or self.trace_path is not None
+
     # ------------------------------------------------------------------
     def run_points(self, points: Iterable[RunPoint]) -> CampaignReport:
         """Resolve every point under supervision; returns the report.
@@ -475,24 +521,56 @@ class CampaignSupervisor:
         completed results have been journaled and cached.  With
         ``keep_going`` all failures are collected on the report instead.
         """
-        report = CampaignReport()
-        cached, misses = self.executor.resolve_cached(points)
-        report.results.update(cached)
-        for point, _result in cached.items():
-            task = _Task(point)
-            self._journal(task, OUTCOME_CACHED)
-            report.outcomes[task.digest] = OUTCOME_CACHED
+        return self._resolve(points, runner=None)
 
-        tasks = [_Task(point) for point in misses]
+    def warm_runner(
+        self, runner: Runner, points: Iterable[RunPoint]
+    ) -> CampaignReport:
+        """:meth:`run_points`, then seed the results into ``runner``'s
+        memo table, so figure functions find every grid cell materialized
+        and never fall back to in-process simulation.  A serial pass runs
+        its misses on ``runner`` itself, sharing its traces and
+        compilations."""
+        report = self._resolve(points, runner=runner)
+        for point, result in report.results.items():
+            runner.seed_result(
+                point.workload, point.policy, point.scheme, point.config,
+                result,
+            )
+        return report
+
+    def _resolve(
+        self, points: Iterable[RunPoint], runner: Optional[Runner]
+    ) -> CampaignReport:
+        report = CampaignReport()
+        tasks: list[_Task] = []
+        seen: set[RunPoint] = set()
+        for point in points:
+            if point in seen:
+                continue
+            seen.add(point)
+            cached = None
+            if self.cache is not None and not self.observed:
+                cached = self.cache.lookup(
+                    point.config, point.workload, point.policy, point.scheme
+                )
+            task = _Task(point)
+            if cached is None:
+                tasks.append(task)
+                continue
+            report.results[point] = cached
+            report.outcomes[task.digest] = OUTCOME_CACHED
+            self._journal(task, OUTCOME_CACHED)
+
         try:
             if tasks:
                 serial = (
-                    self.executor.jobs <= 1
+                    self.jobs <= 1
                     or len(tasks) == 1
-                    or self.executor.trace_path is not None
+                    or self.trace_path is not None
                 )
                 if serial:
-                    self._run_serial(tasks, report)
+                    self._run_serial(tasks, report, runner)
                 else:
                     self._run_pool(tasks, report)
         except KeyboardInterrupt:
@@ -500,20 +578,6 @@ class CampaignSupervisor:
             self._flush_metrics()
             raise
         self._flush_metrics()
-        return report
-
-    def warm_runner(
-        self, runner: Runner, points: Iterable[RunPoint]
-    ) -> CampaignReport:
-        """:meth:`run_points`, then seed the results into ``runner``'s
-        memo table, so figure functions find every grid cell materialized
-        and never fall back to in-process simulation."""
-        report = self.run_points(points)
-        for point, result in report.results.items():
-            runner.seed_result(
-                point.workload, point.policy, point.scheme, point.config,
-                result,
-            )
         return report
 
     # ------------------------------------------------------------------
@@ -532,8 +596,12 @@ class CampaignSupervisor:
         report.outcomes[task.digest] = OUTCOME_OK
         # Checkpoint now, not at campaign end: this is what an
         # interrupted campaign resumes from.
-        self.executor.store_result(task.point, result)
-        self.executor.stats.simulated += 1
+        if self.cache is not None:
+            point = task.point
+            self.cache.store(
+                point.config, point.workload, point.policy, point.scheme,
+                result,
+            )
         self._journal(task, OUTCOME_OK)
 
     def _fail(
@@ -557,16 +625,13 @@ class CampaignSupervisor:
         if outcome == OUTCOME_QUARANTINED:
             self.metrics.counter("exec.quarantined").inc()
         self._journal(task, outcome)
-        if not self.policy.keep_going:
+        if not self.keep_going:
             raise error
 
     def _backoff(self, task: _Task, report: CampaignReport) -> float:
         """Count one retry; returns its deterministic delay."""
         delay = backoff_delay(
-            task.digest,
-            task.attempts,
-            self.policy.backoff_base,
-            self.policy.backoff_cap,
+            task.digest, task.attempts, BACKOFF_BASE, BACKOFF_CAP
         )
         report.retries += 1
         self.metrics.counter("exec.retries").inc()
@@ -579,50 +644,55 @@ class CampaignSupervisor:
     def _flush_metrics(self) -> None:
         """Land the exec.* counters where ``merge_metrics_dir`` finds
         them, alongside the per-point worker snapshots."""
-        executor = self.executor
-        if executor.metrics_dir is not None:
+        if self.metrics_dir is not None:
             snapshot = self.metrics.snapshot()
             # Campaign-level telemetry, not a per-point run: merging it
             # must not inflate the merged_runs count.
             snapshot["merged_runs"] = 0
             write_snapshot(
                 snapshot,
-                Path(executor.metrics_dir) / "supervisor.metrics.json",
+                Path(self.metrics_dir) / "supervisor.metrics.json",
             )
 
     # ------------------------------------------------------------------
     # Serial supervised execution (jobs=1, tracing, or degraded mode)
     # ------------------------------------------------------------------
     def _run_serial(
-        self, tasks: list[_Task], report: CampaignReport
+        self,
+        tasks: list[_Task],
+        report: CampaignReport,
+        runner: Optional[Runner] = None,
     ) -> None:
-        """In-process execution with retries.
+        """In-process execution with retries, on ``runner`` (default: a
+        fresh one).
 
         No watchdog and no crash isolation are possible in-process; a
         point that would hang or kill its worker hangs or kills the
         campaign.  Quarantine still protects serial *degraded* mode:
         points blamed for pool breaks never reach it.
         """
-        executor = self.executor
-        runner = Runner(tasks[0].point.config)
-        tracer = executor.open_tracer()
+        if runner is None:
+            runner = Runner(tasks[0].point.config)
+        tracer = None
+        if self.trace_path is not None:
+            from ..obs.tracer import JsonlTracer
+
+            tracer = JsonlTracer(self.trace_path, detail=self.trace_detail)
         try:
             for task in tasks:
                 while True:
-                    obs = executor.point_observability(tracer, task.point)
                     try:
                         if self._worker_fn is not _supervised_worker_run:
                             result = self._worker_fn(
-                                task.point,
-                                executor.verify,
-                                executor.metrics_dir,
+                                task.point, self.verify, self.metrics_dir
                             )
                         else:
-                            result = execute_point(
+                            result = _run_one(
                                 runner,
                                 task.point,
-                                verify=executor.verify,
-                                obs=obs,
+                                self.verify,
+                                self.metrics_dir,
+                                tracer,
                             )
                     except VerifyFailure as exc:
                         self._fail(task, OUTCOME_FAILED, exc, report)
@@ -630,13 +700,12 @@ class CampaignSupervisor:
                     except KeyboardInterrupt:
                         raise
                     except Exception as exc:
-                        if task.attempts >= self.policy.retries:
+                        if task.attempts >= self.retries:
                             self._fail(task, OUTCOME_FAILED, exc, report)
                             break
                         task.attempts += 1
                         time.sleep(self._backoff(task, report))
                         continue
-                    executor.write_point_metrics(obs, task.point)
                     self._complete(task, result, report)
                     break
         finally:
@@ -663,9 +732,7 @@ class CampaignSupervisor:
             pass
 
     def _run_pool(self, tasks: list[_Task], report: CampaignReport) -> None:
-        policy = self.policy
-        executor = self.executor
-        width = min(executor.jobs, len(tasks))
+        width = min(self.jobs, len(tasks))
 
         pending: deque[_Task] = deque(tasks)
         waiting: list[tuple[float, _Task]] = []  # (ready_at, task) backoffs
@@ -678,12 +745,12 @@ class CampaignSupervisor:
         def resolve_timeout(task: _Task, now: float) -> None:
             self.metrics.counter("exec.timeouts").inc()
             report.timeouts += 1
-            if task.attempts >= policy.retries:
+            if task.attempts >= self.retries:
                 self._fail(
                     task,
                     OUTCOME_TIMEOUT,
                     PointTimeout(
-                        task.label, policy.timeout or 0.0, task.attempts + 1
+                        task.label, self.timeout or 0.0, task.attempts + 1
                     ),
                     report,
                 )
@@ -700,7 +767,7 @@ class CampaignSupervisor:
             for task in victims:
                 if len(victims) == 1:
                     task.deaths += 1
-                if task.deaths >= policy.quarantine_after:
+                if task.deaths >= QUARANTINE_AFTER:
                     self._fail(
                         task,
                         OUTCOME_QUARANTINED,
@@ -734,8 +801,8 @@ class CampaignSupervisor:
                         future = pool.submit(
                             self._worker_fn,
                             task.point,
-                            executor.verify,
-                            executor.metrics_dir,
+                            self.verify,
+                            self.metrics_dir,
                         )
                     except BrokenExecutor:
                         pending.appendleft(task)
@@ -743,7 +810,7 @@ class CampaignSupervisor:
                         break
                     inflight[future] = task
                     deadlines[future] = (
-                        now + policy.timeout if policy.timeout else None
+                        now + self.timeout if self.timeout else None
                     )
 
                 if not broken:
@@ -792,7 +859,7 @@ class CampaignSupervisor:
                     deadlines.clear()
                     self._kill_pool(pool)
                     after_break(victims, now)
-                    if breaks >= policy.max_pool_breaks:
+                    if breaks >= MAX_POOL_BREAKS:
                         # The pool is a lost cause: finish in-process.
                         # Points already blamed for a pool break never
                         # reach serial mode — in-process there is no
@@ -857,7 +924,7 @@ class CampaignSupervisor:
     ) -> None:
         """Retry (with backoff) or terminally fail one errored point."""
         retryable = not isinstance(exc, VerifyFailure)
-        if retryable and task.attempts < self.policy.retries:
+        if retryable and task.attempts < self.retries:
             task.attempts += 1
             waiting.append((time.monotonic() + self._backoff(task, report), task))  # det: real-process watchdog clock, not simulated state
         else:

@@ -9,6 +9,7 @@ can memoize results.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -110,6 +111,22 @@ class ExperimentConfig:
                         f"config field {f.name!r} must be {expected}, "
                         f"got {value!r}"
                     )
+        # Ranges the workload generators and the striping code assume: a
+        # non-positive scale would be clamped to a minimum-size workload
+        # under a digest of its own, and zero clients or I/O nodes fail
+        # deep inside the IR or the stripe map.
+        if not (math.isfinite(self.workload_scale)
+                and self.workload_scale > 0):
+            raise ValueError(
+                "config field 'workload_scale' must be finite and > 0, "
+                f"got {self.workload_scale!r}"
+            )
+        for name in ("n_clients", "n_ionodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"config field {name!r} must be >= 1, "
+                    f"got {getattr(self, name)!r}"
+                )
 
     def disk_spec(self, multispeed: bool) -> DiskSpec:
         """Table II single-speed or DRPM disk."""

@@ -34,7 +34,6 @@ from .config import ExperimentConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..analysis.diagnostics import Report
-    from ..exec.cache import ResultCache
 
 __all__ = [
     "RunResult",
@@ -72,18 +71,15 @@ class RunResult:
 class Runner:
     """Memoizing experiment driver for one base configuration.
 
-    With a :class:`~repro.exec.cache.ResultCache` attached, finished runs
-    are also persisted on disk (content-addressed by the canonical config
-    key), so repeat invocations — and parallel workers feeding the same
-    cache — never re-simulate an unchanged point.  ``simulations`` counts
-    the runs that actually hit the simulator in this process.
+    Results live in a per-process memo table; the on-disk result cache
+    belongs to the campaign
+    (:class:`~repro.exec.supervise.CampaignSupervisor`), which seeds the
+    memo before a figure renders.  ``simulations`` counts the runs that
+    actually hit the simulator in this process.
     """
 
-    def __init__(
-        self, config: ExperimentConfig, cache: Optional["ResultCache"] = None
-    ):
+    def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.cache = cache
         self.simulations = 0
         #: Simulator statistics of the most recent ``_simulate`` call
         #: (events executed).  Deliberately *not* part of
@@ -294,22 +290,12 @@ class Runner:
         scheme: bool,
         config: Optional[ExperimentConfig] = None,
     ) -> RunResult:
-        """Run (memoized, disk-cached) and distil one experiment."""
+        """Run (memoized) and distil one experiment."""
         cfg = config or self.config
         key = (workload, policy, scheme, cfg.to_key())
-        if key in self._runs:
-            return self._runs[key]
-        if self.cache is not None:
-            cached = self.cache.lookup(cfg, workload, policy, scheme)
-            if cached is not None:
-                self._runs[key] = cached
-                return cached
-
-        result = self._simulate(workload, policy, scheme, cfg)
-        self._runs[key] = result
-        if self.cache is not None:
-            self.cache.store(cfg, workload, policy, scheme, result)
-        return result
+        if key not in self._runs:
+            self._runs[key] = self._simulate(workload, policy, scheme, cfg)
+        return self._runs[key]
 
     def measure(
         self,
@@ -320,13 +306,13 @@ class Runner:
     ) -> tuple[RunResult, dict]:
         """Simulate one point unconditionally; return ``(result, stats)``.
 
-        The benchmark's events/sec probe: bypasses the memo table and the
-        disk cache (a cached result has no event timeline to measure),
-        warms the trace/compile memos first so only the simulation is
-        timed, and returns the simulator statistics alongside the result —
+        The benchmark's events/sec probe: bypasses the memo table (a
+        memoized result has no event timeline to measure), warms the
+        trace/compile memos first so only the simulation is timed, and
+        returns the simulator statistics alongside the result —
         ``events``, ``seconds`` and ``events_per_sec``.  The result is
-        bit-identical to :meth:`run`'s and is *not* written back to the
-        cache (measured passes must stay repeatable-cold).
+        bit-identical to :meth:`run`'s and is *not* memoized (measured
+        passes must stay repeatable-cold).
         """
         import time
 
@@ -354,18 +340,16 @@ class Runner:
     ) -> RunResult:
         """Simulate one point under an observability context.
 
-        Never served from the memo table or the disk cache — a cached
-        result carries no trace events and no metrics, so an instrumented
-        request must actually run.  The fresh result *is* written back to
-        both, and is bit-identical to an uninstrumented run's.
+        Never served from the memo table — a memoized result carries no
+        trace events and no metrics, so an instrumented request must
+        actually run.  The fresh result *is* memoized, and is
+        bit-identical to an uninstrumented run's.
         """
         cfg = config or self.config
         if obs is None or not isinstance(obs, Observability):
             raise TypeError("run_instrumented requires an Observability")
         result = self._simulate(workload, policy, scheme, cfg, obs=obs)
         self._runs[(workload, policy, scheme, cfg.to_key())] = result
-        if self.cache is not None:
-            self.cache.store(cfg, workload, policy, scheme, result)
         return result
 
     def seed_result(
@@ -378,7 +362,7 @@ class Runner:
     ) -> None:
         """Install an externally-computed result into the memo table.
 
-        The parallel executor uses this to make figure drivers — which call
+        The campaign uses this to make figure drivers — which call
         :meth:`run` serially — find every grid point already materialized.
         """
         self._runs[(workload, policy, scheme, config.to_key())] = result

@@ -196,15 +196,14 @@ def run_tournament(
     workloads: Iterable[str] = TOURNAMENT_WORKLOADS,
     entrants: Iterable[Entrant] = DEFAULT_ENTRANTS,
     scenarios: Iterable[str] = SCENARIOS,
-    runner: Optional[Runner] = None,
     supervisor: Optional["CampaignSupervisor"] = None,
 ) -> dict:
     """Run the full grid and build the leaderboard document.
 
-    With ``supervisor`` attached the grid fans out through the campaign
-    machinery — cache, journal, watchdog — and the resolved results are
-    seeded into ``runner``; otherwise every point runs in-process on
-    ``runner``'s memo table.  The returned
+    The grid resolves through ``supervisor``, the campaign (cache,
+    journal, watchdog, ``--jobs``; default: a serial campaign with no
+    cache), and its results are seeded into a fresh :class:`Runner` on
+    ``base`` that the leaderboard then reads.  The returned
     document is deterministic for a given (config, grid): it carries no
     timestamps and every float is a simulation output.
     """
@@ -215,11 +214,17 @@ def run_tournament(
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate entrant names: {names}")
 
-    if runner is None:
-        runner = Runner(base)
-    points = tournament_points(base, workloads, entrants, scenarios)
-    if supervisor is not None:
-        supervisor.warm_runner(runner, points)
+    runner = Runner(base)
+    if supervisor is None:
+        from ..exec.supervise import CampaignSupervisor
+
+        supervisor = CampaignSupervisor()
+    # A --keep-going campaign returns its failures instead of raising;
+    # the leaderboard needs every cell, so an incomplete grid fails here
+    # rather than re-simulating the failed points unsupervised below.
+    supervisor.warm_runner(
+        runner, tournament_points(base, workloads, entrants, scenarios)
+    ).raise_if_failed()
 
     cells: list[dict] = []
     contained_all = True
@@ -321,7 +326,8 @@ def write_tournament_record(doc: dict, out_dir: Path) -> Path:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())  # det: filename stamp only; the document body carries no timestamp
+    # The document body carries no timestamp; only the file name does.
+    stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())  # det: filename stamp only
     path = out_dir / f"TOURNAMENT_{stamp}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return path

@@ -4,11 +4,10 @@
 into a long-lived service: many concurrent clients submit experiment
 points (workload/policy/scheme/config/fault-plan) over
 JSON-over-HTTP, and the server resolves them through the exact same
-machinery ``repro run`` uses — :func:`~repro.exec.executor
-.ExperimentExecutor.resolve_cached` against a content-addressed
-:class:`~repro.exec.cache.ResultCache`, then a
-:class:`~repro.exec.supervise.CampaignSupervisor` pass for the misses —
-so a served result is bit-identical to a CLI one by construction.
+machinery ``repro run`` uses — one
+:class:`~repro.exec.supervise.CampaignSupervisor` pass per batch against
+a content-addressed :class:`~repro.exec.cache.ResultCache` — so a served
+result is bit-identical to a CLI one by construction.
 
 Design points:
 
@@ -79,7 +78,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from ..exec.cache import ResultCache, point_digest
-from ..exec.executor import ExperimentExecutor, RunPoint
+from ..exec.executor import RunPoint
 from ..exec.grid import figure_points
 from ..exec.journal import (
     DurableJournal,
@@ -91,11 +90,7 @@ from ..exec.journal import (
     wal_outcome,
 )
 from ..exec.serialize import run_result_to_dict
-from ..exec.supervise import (
-    CampaignReport,
-    CampaignSupervisor,
-    SupervisorPolicy,
-)
+from ..exec.supervise import CampaignReport, CampaignSupervisor
 from ..experiments.config import ExperimentConfig
 from ..experiments.runner import POLICIES, RunResult
 from ..faults.plan import FaultPlan
@@ -173,15 +168,15 @@ class Draining(Exception):
 
 @dataclass
 class BatchOutcome:
-    """What one supervised batch pass produced, stats included.
+    """What one supervised batch pass produced, cache stats included.
 
-    The executor/cache stat counters are captured in the worker thread
-    and folded into the server's metrics registry back on the event loop
-    (the registry is loop-confined by design, so threads never touch it).
+    The report and the cache's stat counters are captured in the worker
+    thread and folded into the server's metrics registry back on the
+    event loop (the registry is loop-confined by design, so threads never
+    touch it).
     """
 
     report: CampaignReport
-    exec_stats: dict[str, int] = field(default_factory=dict)
     cache_stats: Optional[dict[str, int]] = None
 
 
@@ -892,13 +887,10 @@ class SchedulingServer:
             self._transition(job, JOB_QUEUED)
 
     def _fold_stats(self, outcome: BatchOutcome) -> None:
-        """Land one batch's executor/cache counters in server metrics."""
-        self.metrics.counter("server.cache_hits").inc(
-            outcome.exec_stats.get("cache_hits", 0)
-        )
-        self.metrics.counter("server.simulated").inc(
-            outcome.exec_stats.get("simulated", 0)
-        )
+        """Land one batch's campaign/cache counters in server metrics."""
+        counts = outcome.report.counts()
+        self.metrics.counter("server.cache_hits").inc(counts["cached"])
+        self.metrics.counter("server.simulated").inc(counts["ok"])
         if outcome.cache_stats is not None:
             self._fold_cache_stats(outcome.cache_stats)
 
@@ -940,26 +932,20 @@ class SchedulingServer:
     ) -> BatchOutcome:
         """One supervisor pass for one tenant's slice of a batch.
 
-        Runs in a worker thread.  A fresh executor/cache per call keeps
-        every mutable piece thread-local; the on-disk cache is the only
-        shared state, and it is concurrency-safe by construction.
+        Runs in a worker thread.  A fresh campaign and cache per call
+        keeps every mutable piece thread-local; the on-disk cache is the
+        only shared state, and it is concurrency-safe by construction.
         """
         cache = self._tenant_cache(tenant)
-        executor = ExperimentExecutor(
+        report = CampaignSupervisor(
             jobs=self.config.jobs,
             cache=cache,
             verify=self.config.verify,
-        )
-        supervisor = CampaignSupervisor(
-            executor,
-            SupervisorPolicy(
-                keep_going=True, retries=self.config.retries
-            ),
-        )
-        report = supervisor.run_points(points)
+            retries=self.config.retries,
+            keep_going=True,
+        ).run_points(points)
         return BatchOutcome(
             report=report,
-            exec_stats=executor.stats.as_dict(),
             cache_stats=cache.stats.as_dict() if cache is not None else None,
         )
 

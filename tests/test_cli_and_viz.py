@@ -45,6 +45,51 @@ class TestParser:
                     build_parser().parse_args(command + ["--kernel", kernel])
                 assert exc.value.code == 2, (command, kernel)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "table3", "--scale", "0.01", "--no-cache",
+             "--jobs", "0"],
+            ["figure", "table3", "--no-cache", "--retries", "-1"],
+            ["figure", "table3", "--no-cache", "--timeout", "0"],
+            ["run", "--app", "sar", "--no-cache", "--jobs", "0"],
+            ["tournament", "--no-record", "--no-cache", "--jobs", "0"],
+            ["resume", "missing.jsonl", "--jobs", "0"],
+            ["loadtest", "--clients", "0"],
+            ["loadtest", "--requests", "0"],
+        ],
+        ids=lambda argv: "-".join(argv[:1] + argv[-2:]),
+    )
+    def test_bad_numeric_argument_exits_2(self, argv, capsys):
+        """Out-of-range counts and durations are usage errors (exit 2,
+        a message, no traceback), caught before any work starts."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--scale", "-1"),
+            ("--scale", "0"),
+            ("--scale", "nan"),
+            ("--clients", "0"),
+            ("--ionodes", "0"),
+        ],
+    )
+    def test_out_of_range_config_exits_2(self, flag, value, capsys):
+        """A config the workloads or the stripe map cannot use is refused
+        with the config's own message, before any simulation."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--app", "sar", "--no-cache", flag, value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro run: error: config field" in err
+        assert "Traceback" not in err
+
     def test_every_registered_figure_parses(self):
         parser = build_parser()
         for name in FIGURES:

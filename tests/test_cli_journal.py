@@ -14,7 +14,15 @@ import os
 
 import pytest
 
-from repro.cli import _campaign_argv, _path, build_parser, main
+from repro.cli import (
+    _campaign_argv,
+    _nonnegative_int,
+    _path,
+    _positive_float,
+    _positive_int,
+    build_parser,
+    main,
+)
 from repro.exec import (
     CampaignFailed,
     CampaignJournal,
@@ -58,9 +66,9 @@ def non_default_argv(command):
             continue
         if action.choices:
             value = next(c for c in action.choices if c != action.default)
-        elif action.type is int:
+        elif action.type in (int, _positive_int, _nonnegative_int):
             value = 3
-        elif action.type is float:
+        elif action.type in (float, _positive_float):
             value = 0.5
         else:
             value = f"rel/{action.dest}"

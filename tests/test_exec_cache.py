@@ -152,19 +152,6 @@ class TestResultCache:
         assert cache.clear() == 2
         assert len(cache) == 0
 
-    def test_runner_integration_round_trip(self, tmp_path):
-        """A Runner wired to a cache persists runs and reloads them equal,
-        with zero extra simulations."""
-        cache = ResultCache(tmp_path)
-        first = Runner(TINY, cache=cache)
-        a = first.run("sar", "simple", False)
-        assert first.simulations == 1
-
-        second = Runner(TINY, cache=ResultCache(tmp_path))
-        b = second.run("sar", "simple", False)
-        assert second.simulations == 0
-        assert a == b
-
 
 class TestOrphanSweep:
     """``.tmp-*`` files abandoned by crashed writers must not accumulate."""

@@ -1,5 +1,5 @@
-"""Tests for grid enumeration and the executor's cache resolution, with
-points run by the campaign supervisor.
+"""Tests for grid enumeration, point execution and the campaign's cache
+resolution.
 
 The headline guarantees: parallel execution is *bit-identical* to serial,
 a warm cache performs zero simulations, and a verify failure in a worker
@@ -8,9 +8,9 @@ surfaces as a clear top-level error instead of hanging the pool.
 
 import pytest
 
+from repro.cli import FIGURES
 from repro.exec import (
     CampaignSupervisor,
-    ExperimentExecutor,
     ResultCache,
     RunPoint,
     VerifyFailure,
@@ -20,6 +20,8 @@ from repro.exec import (
 )
 from repro.exec.grid import GRID_FIGURES
 from repro.experiments import APPS, ExperimentConfig, Runner, fig12c
+from repro.experiments.runner import RunResult
+from repro.metrics.idle import idle_cdf
 
 TINY = ExperimentConfig(workload_scale=0.05)
 
@@ -28,9 +30,9 @@ def tiny_points(apps=("sar", "madbench2"), scheme=False):
     return [RunPoint(app, "simple", scheme, TINY) for app in apps]
 
 
-def run_points(executor, points):
-    """Resolve ``points`` through ``executor`` under the supervisor."""
-    return CampaignSupervisor(executor).run_points(points).results
+def run_points(points, **campaign):
+    """Resolve ``points`` through a campaign built from ``campaign``."""
+    return CampaignSupervisor(**campaign).run_points(points).results
 
 
 class TestGrid:
@@ -57,49 +59,81 @@ class TestGrid:
         deltas = {p.config.delta for p in figure_points("fig13d", TINY)}
         assert len(deltas) > 1
 
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_grid_covers_every_run_the_figure_renders(self, name,
+                                                      monkeypatch):
+        """After a campaign warms a figure's grid, rendering it reads only
+        the memo: a run the grid forgot would reach ``_simulate``."""
+        runner = Runner(TINY)
+        for n, point in enumerate(figure_points(name, TINY)):
+            periods = [0.05 * (n + 1), 2.0, 30.0]
+            runner.seed_result(
+                point.workload, point.policy, point.scheme, point.config,
+                RunResult(
+                    workload=point.workload,
+                    policy=point.policy,
+                    scheme=point.scheme,
+                    execution_time=100.0 + n,
+                    energy_joules=1000.0 - n,
+                    idle_cdf=idle_cdf(periods),
+                    idle_periods=periods,
+                    energy_breakdown={"idle": 1000.0 - n},
+                    buffer_hits=n,
+                    prefetches=n,
+                    accesses=n,
+                ),
+            )
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError(f"{name} simulated a point off its grid")
+
+        monkeypatch.setattr(Runner, "_simulate", no_simulation)
+        assert FIGURES[name](runner).text
+
 
 class TestEquivalence:
     @pytest.mark.parametrize("apps", [("sar",), ("madbench2",)])
     def test_parallel_bit_identical_to_serial(self, apps):
         """Same workload through jobs=1 and jobs=2 must agree exactly."""
         points = tiny_points(apps=apps)
-        serial = run_points(ExperimentExecutor(jobs=1), points)
+        serial = run_points(points, jobs=1)
         # Force the pool even for few points by adding a second app when
         # needed; compare only the points under test.
         pool_points = points + tiny_points(apps=("hf",))
-        parallel = run_points(ExperimentExecutor(jobs=2), pool_points)
+        parallel = run_points(pool_points, jobs=2)
         for point in points:
             assert parallel[point] == serial[point]
 
     def test_executor_matches_direct_runner(self):
         point = RunPoint("sar", "history", True, TINY)
-        via_executor = run_points(ExperimentExecutor(jobs=1), [point])[point]
+        via_executor = run_points([point], jobs=1)[point]
         direct = Runner(TINY).run("sar", "history", True)
         assert via_executor == direct
 
     def test_duplicates_resolved_once(self):
         point = RunPoint("sar", "simple", False, TINY)
-        executor = ExperimentExecutor(jobs=1)
-        results = run_points(executor, [point, point, point])
-        assert executor.stats.points == 1
-        assert executor.stats.simulated == 1
-        assert len(results) == 1
+        report = CampaignSupervisor(jobs=1).run_points([point, point, point])
+        assert len(report.outcomes) == 1
+        assert report.counts()["ok"] == 1
+        assert len(report.results) == 1
 
 
 class TestCacheIntegration:
     def test_warm_cache_performs_zero_simulations(self, tmp_path):
         points = tiny_points() + tiny_points(scheme=True)
-        cold = ExperimentExecutor(jobs=1, cache=ResultCache(tmp_path))
-        cold_results = run_points(cold, points)
-        assert cold.stats.simulated == len(points)
-        assert cold.stats.cache_hits == 0
+        cold = CampaignSupervisor(
+            jobs=1, cache=ResultCache(tmp_path)
+        ).run_points(points)
+        assert cold.counts()["ok"] == len(points)
+        assert cold.counts()["cached"] == 0
 
-        warm = ExperimentExecutor(jobs=2, cache=ResultCache(tmp_path))
-        warm_results = run_points(warm, points)
-        assert warm.stats.simulated == 0
-        assert warm.stats.cache_hits == len(points)
+        warm = CampaignSupervisor(
+            jobs=2, cache=ResultCache(tmp_path)
+        ).run_points(points)
+        assert warm.counts()["ok"] == 0
+        assert warm.counts()["cached"] == len(points)
         for point in points:
-            assert warm_results[point] == cold_results[point]
+            assert warm.results[point] == cold.results[point]
 
     def test_full_figure_replay_is_pure_cache(self, tmp_path):
         """A repeated figure invocation with a warm cache simulates
@@ -108,18 +142,20 @@ class TestCacheIntegration:
         cfg = TINY
         points = figure_points("fig12c", cfg)
 
-        first_exec = ExperimentExecutor(jobs=1, cache=ResultCache(tmp_path))
-        first_runner = Runner(cfg, cache=None)
-        CampaignSupervisor(first_exec).warm_runner(first_runner, points)
+        first_runner = Runner(cfg)
+        CampaignSupervisor(jobs=1, cache=ResultCache(tmp_path)).warm_runner(
+            first_runner, points
+        )
         first = fig12c(first_runner)
 
-        replay_exec = ExperimentExecutor(jobs=1, cache=ResultCache(tmp_path))
-        replay_runner = Runner(cfg, cache=None)
-        CampaignSupervisor(replay_exec).warm_runner(replay_runner, points)
+        replay_runner = Runner(cfg)
+        replay = CampaignSupervisor(
+            jobs=1, cache=ResultCache(tmp_path)
+        ).warm_runner(replay_runner, points)
         second = fig12c(replay_runner)
 
-        assert replay_exec.stats.simulated == 0
-        assert replay_exec.stats.cache_hits == len(points)
+        assert replay.counts()["ok"] == 0
+        assert replay.counts()["cached"] == len(points)
         assert replay_runner.simulations == 0
         assert second.data == first.data
         assert second.text == first.text
@@ -143,28 +179,27 @@ class TestVerifyGating:
             RunPoint("madbench2", "history", True, self.BAD),
             RunPoint("sar", "history", False, self.BAD),
         ]
-        executor = ExperimentExecutor(jobs=2, verify=True)
         with pytest.raises(VerifyFailure) as exc:
-            run_points(executor, points)
+            run_points(points, jobs=2, verify=True)
         assert "madbench2" in str(exc.value)
 
     def test_verify_failure_stores_nothing_in_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        executor = ExperimentExecutor(jobs=1, cache=cache, verify=True)
         with pytest.raises(VerifyFailure):
             run_points(
-                executor, [RunPoint("madbench2", "history", True, self.BAD)]
+                [RunPoint("madbench2", "history", True, self.BAD)],
+                jobs=1, cache=cache, verify=True,
             )
         assert len(cache) == 0
 
     def test_verify_off_skips_the_gate(self):
         point = RunPoint("madbench2", "history", True, self.BAD)
-        result = run_points(ExperimentExecutor(jobs=1, verify=False), [point])
+        result = run_points([point], jobs=1, verify=False)
         assert result[point].energy_joules > 0
 
     def test_clean_points_pass_the_gate(self):
         point = RunPoint("sar", "history", True, TINY)
-        result = run_points(ExperimentExecutor(jobs=1, verify=True), [point])
+        result = run_points([point], jobs=1, verify=True)
         assert result[point].prefetches > 0
 
 

@@ -27,17 +27,16 @@ from repro.exec import (
     CampaignJournal,
     CampaignReport,
     CampaignSupervisor,
-    ExperimentExecutor,
     JOURNAL_SCHEMA_VERSION,
     PointFailure,
     ResultCache,
     RunPoint,
-    SupervisorPolicy,
     VerifyFailure,
     backoff_delay,
     load_journal,
     merge_metrics_dir,
     point_digest,
+    supervise,
 )
 from repro.exec.supervise import (
     OUTCOME_CACHED,
@@ -129,14 +128,27 @@ def stub_points(*names, scheme=False):
     return [RunPoint(name, "simple", scheme, TINY) for name in names]
 
 
-def make_supervisor(jobs=1, policy=None, cache=None, journal=None,
-                    metrics_dir=None):
-    executor = ExperimentExecutor(
-        jobs=jobs, cache=cache, verify=False, metrics_dir=metrics_dir
-    )
+def make_supervisor(jobs=1, cache=None, journal=None, metrics_dir=None,
+                    **policy):
+    """A campaign over the scripted worker; ``policy`` is ``timeout``,
+    ``retries`` and/or ``keep_going``."""
     return CampaignSupervisor(
-        executor, policy=policy, journal=journal, worker_fn=scripted_worker
+        jobs=jobs,
+        cache=cache,
+        verify=False,
+        metrics_dir=metrics_dir,
+        journal=journal,
+        worker_fn=scripted_worker,
+        **policy,
     )
+
+
+def tune(monkeypatch, **constants):
+    """Override supervision constants (``BACKOFF_BASE``,
+    ``QUARANTINE_AFTER``, ``MAX_POOL_BREAKS``...) for one test."""
+    for name, value in constants.items():
+        assert hasattr(supervise, name), name
+        monkeypatch.setattr(supervise, name, value)
 
 
 @pytest.fixture
@@ -155,13 +167,13 @@ class TestPolicyAndBackoff:
             {"timeout": 0.0},
             {"timeout": -1.0},
             {"retries": -1},
-            {"quarantine_after": 0},
-            {"max_pool_breaks": 0},
+            {"jobs": 0},
+            {"jobs": -1},
         ],
     )
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            SupervisorPolicy(**kwargs)
+            CampaignSupervisor(**kwargs)
 
     def test_backoff_is_deterministic(self):
         a = backoff_delay("d" * 64, 3)
@@ -272,9 +284,9 @@ class TestReport:
 # Serial supervision (retries, fail-fast vs keep-going)
 # ----------------------------------------------------------------------
 class TestSerialSupervision:
-    def test_flaky_point_retries_to_success(self, scratch):
-        policy = SupervisorPolicy(retries=2, backoff_base=0.001)
-        supervisor = make_supervisor(policy=policy)
+    def test_flaky_point_retries_to_success(self, scratch, monkeypatch):
+        tune(monkeypatch, BACKOFF_BASE=0.001)
+        supervisor = make_supervisor(retries=2)
         report = supervisor.run_points(stub_points("flaky2"))
         assert report.ok
         assert report.retries == 2
@@ -282,22 +294,20 @@ class TestSerialSupervision:
         digest = point_digest(TINY, "flaky2", "simple", False)
         assert report.outcomes[digest] == OUTCOME_OK
 
-    def test_retry_budget_exhausted_fails_fast(self, scratch):
-        policy = SupervisorPolicy(retries=1, backoff_base=0.001)
-        supervisor = make_supervisor(policy=policy)
+    def test_retry_budget_exhausted_fails_fast(self, scratch, monkeypatch):
+        tune(monkeypatch, BACKOFF_BASE=0.001)
+        supervisor = make_supervisor(retries=1)
         with pytest.raises(ValueError, match="transient failure"):
             supervisor.run_points(stub_points("flaky5"))
 
     def test_verify_failure_never_retried(self, scratch):
-        policy = SupervisorPolicy(retries=5, keep_going=True)
-        supervisor = make_supervisor(policy=policy)
+        supervisor = make_supervisor(retries=5, keep_going=True)
         report = supervisor.run_points(stub_points("badverify"))
         assert report.retries == 0
         assert report.failures[0].outcome == OUTCOME_FAILED
 
     def test_keep_going_collects_all_failures(self, scratch):
-        policy = SupervisorPolicy(retries=0, keep_going=True)
-        supervisor = make_supervisor(policy=policy)
+        supervisor = make_supervisor(retries=0, keep_going=True)
         report = supervisor.run_points(
             stub_points("doomed", "okG", "badverify")
         )
@@ -313,19 +323,17 @@ class TestSerialSupervision:
     def test_failfast_raise_preserves_completed_siblings(self, scratch,
                                                          tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        policy = SupervisorPolicy(retries=0)
-        supervisor = make_supervisor(policy=policy, cache=cache)
+        supervisor = make_supervisor(retries=0, cache=cache)
         with pytest.raises(ValueError):
             supervisor.run_points(stub_points("okH", "doomed"))
         assert cache.lookup(TINY, "okH", "simple", False) is not None
 
-    def test_supervisor_metrics_land_in_metrics_dir(self, scratch, tmp_path):
+    def test_supervisor_metrics_land_in_metrics_dir(self, scratch, tmp_path,
+                                                    monkeypatch):
         metrics_dir = tmp_path / "metrics"
         metrics_dir.mkdir()
-        policy = SupervisorPolicy(retries=1, backoff_base=0.001)
-        supervisor = make_supervisor(
-            policy=policy, metrics_dir=str(metrics_dir)
-        )
+        tune(monkeypatch, BACKOFF_BASE=0.001)
+        supervisor = make_supervisor(retries=1, metrics_dir=str(metrics_dir))
         supervisor.run_points(stub_points("flaky1"))
         merged = merge_metrics_dir(metrics_dir)
         assert merged["counters"]["exec.retries"] == 1
@@ -357,8 +365,8 @@ class TestJournaledCampaign:
         )
         resumed = second.run_points(points)
         second.journal.close()
-        assert second.executor.stats.simulated == 0
-        assert second.executor.stats.cache_hits == 2
+        assert resumed.counts()[OUTCOME_OK] == 0
+        assert resumed.counts()[OUTCOME_CACHED] == 2
         assert set(resumed.outcomes.values()) == {OUTCOME_CACHED}
         assert resumed.results == report.results
         _header, entries = load_journal(tmp_path / "second.jsonl")
@@ -369,11 +377,12 @@ class TestJournaledCampaign:
 # Pool supervision: crash recovery, quarantine, watchdog, interrupt
 # ----------------------------------------------------------------------
 class TestPoolRecovery:
-    def test_worker_sigkill_recovered_and_campaign_completes(self, scratch):
+    def test_worker_sigkill_recovered_and_campaign_completes(self, scratch,
+                                                             monkeypatch):
         """SIGKILL a child mid-campaign: pool respawns, the point is
         requeued, and every result still arrives."""
-        policy = SupervisorPolicy(backoff_base=0.01, max_pool_breaks=6)
-        supervisor = make_supervisor(jobs=2, policy=policy)
+        tune(monkeypatch, BACKOFF_BASE=0.01, MAX_POOL_BREAKS=6)
+        supervisor = make_supervisor(jobs=2)
         report = supervisor.run_points(stub_points("killonce", "okB"))
         assert report.ok
         assert len(report.results) == 2
@@ -383,23 +392,24 @@ class TestPoolRecovery:
             == report.worker_deaths
         )
 
-    def test_repeat_killer_quarantined_innocents_complete(self, scratch):
+    def test_repeat_killer_quarantined_innocents_complete(self, scratch,
+                                                          monkeypatch):
         """A point that kills every pool it touches is quarantined after
-        ``quarantine_after`` attributable deaths; co-scheduled innocent
+        ``QUARANTINE_AFTER`` attributable deaths; co-scheduled innocent
         siblings are requeued, not blamed, and all complete."""
-        policy = SupervisorPolicy(
-            backoff_base=0.01,
-            quarantine_after=2,
-            max_pool_breaks=8,
-            keep_going=True,
+        tune(
+            monkeypatch,
+            BACKOFF_BASE=0.01,
+            QUARANTINE_AFTER=2,
+            MAX_POOL_BREAKS=8,
         )
-        supervisor = make_supervisor(jobs=2, policy=policy)
+        supervisor = make_supervisor(jobs=2, keep_going=True)
         report = supervisor.run_points(stub_points("killer", "okE", "okF"))
         assert len(report.results) == 2  # both innocents finished
         assert [f.outcome for f in report.failures] == [OUTCOME_QUARANTINED]
         assert report.failures[0].label == "killer/simple/plain"
         assert supervisor.metrics.counter("exec.quarantined").value == 1
-        assert report.worker_deaths >= policy.quarantine_after
+        assert report.worker_deaths >= supervise.QUARANTINE_AFTER
 
     def test_failfast_pool_raise_preserves_completed_siblings(
         self, scratch, tmp_path
@@ -407,21 +417,18 @@ class TestPoolRecovery:
         """Pool-mates that finished before a fail-fast failure keep their
         cached results, so a rerun repeats only the failed point."""
         cache = ResultCache(tmp_path / "cache")
-        supervisor = make_supervisor(
-            jobs=2, policy=SupervisorPolicy(retries=0), cache=cache
-        )
+        supervisor = make_supervisor(jobs=2, retries=0, cache=cache)
         with pytest.raises(ValueError, match="permanently broken"):
             supervisor.run_points(stub_points("okJ", "okK", "doomedlate"))
         for name in ("okJ", "okK"):
             assert cache.lookup(TINY, name, "simple", False) is not None
         assert cache.lookup(TINY, "doomedlate", "simple", False) is None
 
-    def test_watchdog_reclaims_hung_worker_then_retry_succeeds(self,
-                                                               scratch):
-        policy = SupervisorPolicy(
-            timeout=0.5, retries=1, backoff_base=0.01, max_pool_breaks=6
-        )
-        supervisor = make_supervisor(jobs=2, policy=policy)
+    def test_watchdog_reclaims_hung_worker_then_retry_succeeds(
+        self, scratch, monkeypatch
+    ):
+        tune(monkeypatch, BACKOFF_BASE=0.01, MAX_POOL_BREAKS=6)
+        supervisor = make_supervisor(jobs=2, timeout=0.5, retries=1)
         report = supervisor.run_points(stub_points("hangonce", "okC"))
         assert report.ok
         assert len(report.results) == 2
@@ -429,8 +436,9 @@ class TestPoolRecovery:
         assert supervisor.metrics.counter("exec.timeouts").value == 1
 
     def test_watchdog_terminal_timeout_reported(self, scratch):
-        policy = SupervisorPolicy(timeout=0.5, retries=0, keep_going=True)
-        supervisor = make_supervisor(jobs=2, policy=policy)
+        supervisor = make_supervisor(
+            jobs=2, timeout=0.5, retries=0, keep_going=True
+        )
         report = supervisor.run_points(stub_points("hang", "okD"))
         assert len(report.results) == 1
         assert [f.outcome for f in report.failures] == [OUTCOME_TIMEOUT]
@@ -439,19 +447,15 @@ class TestPoolRecovery:
             report.raise_if_failed()
 
     def test_worker_interrupt_leaves_valid_journal_and_checkpoints(
-        self, scratch, tmp_path
+        self, scratch, tmp_path, monkeypatch
     ):
         """A KeyboardInterrupt surfacing from the pool aborts the
         campaign but the journal stays loadable and completed siblings
         are already cached — exactly what ``repro resume`` needs."""
         cache = ResultCache(tmp_path / "cache")
         journal = CampaignJournal(tmp_path / "j.jsonl", argv=["run"])
-        supervisor = make_supervisor(
-            jobs=2,
-            policy=SupervisorPolicy(backoff_base=0.01),
-            cache=cache,
-            journal=journal,
-        )
+        tune(monkeypatch, BACKOFF_BASE=0.01)
+        supervisor = make_supervisor(jobs=2, cache=cache, journal=journal)
         with pytest.raises(KeyboardInterrupt):
             supervisor.run_points(stub_points("okA", "interrupt"))
         journal.close()
@@ -470,11 +474,7 @@ class TestDeterminism:
             RunPoint("sar", "simple", False, TINY),
             RunPoint("madbench2", "simple", False, TINY),
         ]
-        serial = CampaignSupervisor(
-            ExperimentExecutor(jobs=1)
-        ).run_points(points)
-        pooled = CampaignSupervisor(
-            ExperimentExecutor(jobs=2)
-        ).run_points(points)
+        serial = CampaignSupervisor(jobs=1).run_points(points)
+        pooled = CampaignSupervisor(jobs=2).run_points(points)
         assert serial.ok and pooled.ok
         assert pooled.results == serial.results

@@ -109,6 +109,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="config field"):
             ExperimentConfig().scaled(**changes)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"workload_scale": -1.0},
+            {"workload_scale": 0},
+            {"workload_scale": float("nan")},
+            {"workload_scale": float("inf")},
+            {"n_clients": 0},
+            {"n_ionodes": -2},
+        ],
+    )
+    def test_out_of_range_field_rejected(self, changes):
+        """A scale that is not finite and positive, or fewer than one
+        client or I/O node, is refused before any workload is built."""
+        with pytest.raises(ValueError, match="config field"):
+            ExperimentConfig().scaled(**changes)
+
     def test_numeric_fields_accept_their_types(self):
         cfg = ExperimentConfig(workload_scale=1, simple_timeout=2.5, delta=7)
         assert (cfg.workload_scale, cfg.simple_timeout, cfg.delta) == (

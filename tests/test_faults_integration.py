@@ -23,7 +23,6 @@ import pytest
 
 from repro.exec import (
     CampaignSupervisor,
-    ExperimentExecutor,
     ResultCache,
     RunPoint,
     merge_metrics_dir,
@@ -262,10 +261,10 @@ class TestSeededReplay:
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
         serial = CampaignSupervisor(
-            ExperimentExecutor(jobs=1, metrics_dir=serial_dir)
+            jobs=1, metrics_dir=serial_dir
         ).run_points(points).results
         parallel = CampaignSupervisor(
-            ExperimentExecutor(jobs=4, metrics_dir=parallel_dir)
+            jobs=4, metrics_dir=parallel_dir
         ).run_points(points).results
         for point in points:
             assert run_result_to_dict(parallel[point]) == \

@@ -10,7 +10,6 @@ import pytest
 from repro.cli import main
 from repro.exec import (
     CampaignSupervisor,
-    ExperimentExecutor,
     ResultCache,
     RunPoint,
     merge_metrics_dir,
@@ -109,8 +108,9 @@ class TestExecutorObservability:
     ]
 
     def test_metrics_dir_gets_one_snapshot_per_point(self, tmp_path):
-        executor = ExperimentExecutor(jobs=1, metrics_dir=tmp_path)
-        CampaignSupervisor(executor).run_points(self.POINTS)
+        CampaignSupervisor(jobs=1, metrics_dir=tmp_path).run_points(
+            self.POINTS
+        )
         for point in self.POINTS:
             assert metrics_path_for(tmp_path, point).exists()
         # Plus the supervisor's campaign-level exec.* snapshot.
@@ -122,7 +122,7 @@ class TestExecutorObservability:
         parallel_dir = tmp_path / "parallel"
         for jobs, metrics_dir in ((1, serial_dir), (2, parallel_dir)):
             CampaignSupervisor(
-                ExperimentExecutor(jobs=jobs, metrics_dir=metrics_dir)
+                jobs=jobs, metrics_dir=metrics_dir
             ).run_points(self.POINTS)
         assert merge_metrics_dir(serial_dir) == merge_metrics_dir(
             parallel_dir
@@ -130,32 +130,27 @@ class TestExecutorObservability:
 
     def test_trace_path_forces_serial_and_writes_all_points(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
-        executor = ExperimentExecutor(jobs=4, trace_path=trace)
-        CampaignSupervisor(executor).run_points(self.POINTS)
+        CampaignSupervisor(jobs=4, trace_path=trace).run_points(self.POINTS)
         labels = {r.get("point") for r in read_trace(trace)}
         assert labels == {p.label() for p in self.POINTS}
 
     def test_observed_executor_skips_cache_reads(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         point = self.POINTS[0]
-        warmup = ExperimentExecutor(jobs=1, cache=cache)
-        CampaignSupervisor(warmup).run_points([point])
-        observed = ExperimentExecutor(
+        CampaignSupervisor(jobs=1, cache=cache).run_points([point])
+        observed = CampaignSupervisor(
             jobs=1, cache=cache, metrics_dir=tmp_path / "metrics"
-        )
-        CampaignSupervisor(observed).run_points([point])
+        ).run_points([point])
         # A cache hit would have produced no snapshot; the point must
         # re-simulate.
-        assert observed.stats.simulated == 1
-        assert observed.stats.cache_hits == 0
+        assert observed.counts()["ok"] == 1
+        assert observed.counts()["cached"] == 0
         assert list((tmp_path / "metrics").glob("*.metrics.json"))
 
     def test_unobserved_runs_emit_nothing(self, tmp_path):
-        executor = ExperimentExecutor(jobs=1)
-        results = CampaignSupervisor(executor).run_points(
-            [self.POINTS[0]]
-        ).results
-        assert not executor.observed
+        campaign = CampaignSupervisor(jobs=1)
+        results = campaign.run_points([self.POINTS[0]]).results
+        assert not campaign.observed
         assert list(results.values())[0].energy_joules > 0
 
 

@@ -24,7 +24,6 @@ from repro.analysis.energy import analyze_energy
 from repro.disk import Drive
 from repro.exec import (
     CampaignSupervisor,
-    ExperimentExecutor,
     RunPoint,
     run_result_to_dict,
 )
@@ -371,12 +370,8 @@ class TestReplayability:
 
     def test_jobs1_and_jobs4_bit_identical(self):
         points = _corpus_points()
-        serial = CampaignSupervisor(
-            ExperimentExecutor(jobs=1)
-        ).run_points(points).results
-        parallel = CampaignSupervisor(
-            ExperimentExecutor(jobs=4)
-        ).run_points(points).results
+        serial = CampaignSupervisor(jobs=1).run_points(points).results
+        parallel = CampaignSupervisor(jobs=4).run_points(points).results
         assert set(serial) == set(parallel) == set(points)
         for point in points:
             assert (

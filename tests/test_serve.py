@@ -174,6 +174,8 @@ class TestParsePoint:
             {"workload": "sar", "config": {"n_clients": [8]}},
             {"workload": "sar", "config": {"n_clients": True}},
             {"workload": "sar", "config": {"delta": 1.5}},
+            {"workload": "sar", "config": {"workload_scale": -1.0}},
+            {"workload": "sar", "config": {"n_clients": 0}},
         ],
     )
     def test_bad_submissions_are_400(self, doc):

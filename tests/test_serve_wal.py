@@ -140,6 +140,41 @@ class TestAdmissionDurability:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"workload_scale": -1.0},
+            {"workload_scale": 0.0},
+            {"n_clients": 0},
+            {"n_ionodes": 0},
+        ],
+    )
+    def test_out_of_range_config_is_400_before_the_wal(self, tmp_path,
+                                                       config):
+        """A config the run could never use is refused at parse time:
+        a 400, and nothing admitted to the WAL."""
+        wal = tmp_path / "wal.jsonl"
+
+        async def scenario():
+            server = SchedulingServer(_config(tmp_path, wal))
+            await server.start()
+            client = HttpClient("127.0.0.1", server.port)
+            try:
+                status, _h, body = await client.request(
+                    "POST", "/v1/submit", doc=dict(SUBMIT_SAR, config=config)
+                )
+                assert status == 400
+                assert "bad config value" in body["error"]
+                _s, _h, snap = await client.request("GET", "/v1/metrics")
+                assert snap["counters"]["server.wal.appends"] == 0
+            finally:
+                await client.close()
+                await server.stop()
+
+        asyncio.run(scenario())
+        _header, jobs = load_wal(wal)
+        assert jobs == {}
+
 
 class TestRecovery:
     def test_sigkill_then_recover_completes_admitted_job(self, tmp_path):

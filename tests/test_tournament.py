@@ -15,14 +15,13 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.exec import CampaignSupervisor, ExperimentExecutor
+from repro.exec import CampaignFailed, CampaignSupervisor, supervise
 from repro.exec.serialize import canonical_dumps
 from repro.experiments import ExperimentConfig
+from repro.experiments.runner import RunResult
 from repro.experiments.tournament import (
     DEFAULT_ENTRANTS,
-    SCENARIOS,
     TOURNAMENT_SCHEMA,
-    TOURNAMENT_WORKLOADS,
     Entrant,
     run_tournament,
     scenario_config,
@@ -223,13 +222,60 @@ class TestDeterminism:
         assert canonical_dumps(again) == canonical_dumps(doc)
 
     def test_supervised_jobs4_matches_in_process(self, doc, tmp_path):
-        executor = ExperimentExecutor(jobs=4)
-        supervisor = CampaignSupervisor(executor)
+        supervisor = CampaignSupervisor(jobs=4)
         pooled = run_tournament(
             SMALL, workloads=WORKLOADS, entrants=ENTRANTS,
             scenarios=GRID_SCENARIOS, supervisor=supervisor,
         )
         assert canonical_dumps(pooled) == canonical_dumps(doc)
+
+
+def _fail_forecast(point, verify, metrics_dir=None):
+    """Campaign worker fake: the forecast cell fails, the rest succeed."""
+    if point.policy == "forecast":
+        raise ValueError("synthetic point failure")
+    return RunResult(
+        workload=point.workload, policy=point.policy, scheme=point.scheme,
+        execution_time=1.0, energy_joules=1.0, idle_cdf=None,
+        idle_periods=[], energy_breakdown={}, buffer_hits=0, prefetches=0,
+        accesses=0,
+    )
+
+
+class TestIncompleteGrid:
+    """A --keep-going campaign returns its failures instead of raising;
+    the leaderboard needs every cell, so the tournament fails rather than
+    simulating the missing cells outside the campaign."""
+
+    def test_keep_going_failure_raises(self):
+        campaign = CampaignSupervisor(
+            verify=False, retries=0, keep_going=True, worker_fn=_fail_forecast
+        )
+        with pytest.raises(CampaignFailed):
+            run_tournament(
+                SMALL, workloads=("sar",), scenarios=("clean",),
+                entrants=(Entrant("forecast", "forecast", scheme=False),),
+                supervisor=campaign,
+            )
+
+    def test_cli_keep_going_failure_exits_1(self, monkeypatch, capsys):
+        real_run_one = supervise._run_one
+
+        def run_one(runner, point, *args, **kwargs):
+            if point.policy == "forecast":
+                raise ValueError("synthetic point failure")
+            return real_run_one(runner, point, *args, **kwargs)
+
+        monkeypatch.setattr(supervise, "_run_one", run_one)
+        code = main([
+            "tournament", "--scale", "0.05", "--workloads", "sar",
+            "--entrants", "forecast", "--scenarios", "clean",
+            "--no-cache", "--no-record", "--keep-going", "--retries", "0",
+        ], out=io.StringIO())
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "campaign failed" in err
+        assert "Traceback" not in err
 
 
 class TestRecord:
