@@ -1,12 +1,14 @@
 """Shared infrastructure for the paper-claim checks.
 
 One memoizing :class:`Runner` is shared across every check in the
-session.  It is warmed once through the campaign, the same path
-``repro figure`` takes: every paper figure's grid is resolved by a
-:class:`~repro.exec.CampaignSupervisor` with one worker per CPU, so the
-grid points simulate in parallel once.  The checks then render their
-figures from the runner's memo.  Ablation variants outside the grids
-still run in-process.
+session, behind the ``render(name, **kwargs)`` fixture.  A render first
+warms the runner through the campaign, the same path ``repro figure``
+takes: a :class:`~repro.exec.CampaignSupervisor` with one worker per CPU
+resolves exactly the points the figure reads with those arguments
+(:func:`~repro.exec.figure_points`), skipping any an earlier check
+already warmed, so each point simulates in parallel once.  The figure
+then renders from the runner's memo.  Ablation variants outside the
+figures still run in-process.
 
 The campaign's result cache is a fresh directory for the session unless
 ``REPRO_CACHE_DIR`` names one.  Cache keys cover the configuration, not
@@ -27,15 +29,16 @@ import os
 
 import pytest
 
-from repro.exec import CampaignSupervisor, ResultCache, all_figure_points
+from repro.exec import CampaignSupervisor, ResultCache, figure_points
 from repro.experiments import APPS, Runner, default_config
+from repro.experiments.figures import FIGURES, FigureResult
 
 #: Apps used by the sensitivity sweeps (one short-idle, one streaming,
 #: one long-idle) unless REPRO_FULL_SWEEPS is set.
 SWEEP_APPS = ("hf", "sar", "wupwise")
 
-#: The warm-up campaign's ``[exec]`` line, printed in the session summary.
-_CAMPAIGN_SUMMARY: list[str] = []
+#: The warm-up campaigns' ``[exec]`` counts, summed over the session.
+_WARMED = {"points": 0, "cached": 0, "ok": 0}
 
 
 def sweep_apps() -> tuple[str, ...]:
@@ -45,25 +48,39 @@ def sweep_apps() -> tuple[str, ...]:
 
 
 @pytest.fixture(scope="session")
-def runner(tmp_path_factory) -> Runner:
+def render(tmp_path_factory):
+    """``render(name, **kwargs)``: warm figure ``name``'s points, then
+    render it from the shared runner with the same arguments."""
     cfg = default_config()
     runner = Runner(cfg)
-    jobs = os.cpu_count() or 1
     cache_dir = os.environ.get("REPRO_CACHE_DIR") or tmp_path_factory.mktemp(
         "result-cache"
     )
-    cache = ResultCache(cache_dir)
-    report = CampaignSupervisor(jobs=jobs, cache=cache).warm_runner(
-        runner, all_figure_points(cfg)
+    campaign = CampaignSupervisor(
+        jobs=os.cpu_count() or 1, cache=ResultCache(cache_dir)
     )
-    counts = report.counts()
-    _CAMPAIGN_SUMMARY.append(
-        f"[exec] points={len(report.outcomes)} cache_hits={counts['cached']} "
-        f"simulated={counts['ok']} jobs={jobs}"
-    )
-    return runner
+    warmed: set = set()
+
+    def render(name: str, **kwargs) -> FigureResult:
+        fresh = [
+            p for p in figure_points(name, cfg, **kwargs) if p not in warmed
+        ]
+        if fresh:
+            warmed.update(fresh)
+            report = campaign.warm_runner(runner, fresh)
+            counts = report.counts()
+            _WARMED["points"] += len(report.outcomes)
+            _WARMED["cached"] += counts["cached"]
+            _WARMED["ok"] += counts["ok"]
+        return FIGURES[name](runner, **kwargs)
+
+    return render
 
 
 def pytest_terminal_summary(terminalreporter) -> None:
-    for line in _CAMPAIGN_SUMMARY:
-        terminalreporter.write_line(line)
+    if _WARMED["points"]:
+        terminalreporter.write_line(
+            f"[exec] points={_WARMED['points']} "
+            f"cache_hits={_WARMED['cached']} simulated={_WARMED['ok']} "
+            f"jobs={os.cpu_count() or 1}"
+        )

@@ -6,11 +6,11 @@ short-idle-heavy apps), and almost everything is ≤5 s by count with a
 thin long tail.
 """
 
-from repro.experiments import APPS, fig12a
+from repro.experiments import APPS
 
 
-def test_fig12a_idle_cdf_without(runner):
-    result = fig12a(runner)
+def test_fig12a_idle_cdf_without(render):
+    result = render("fig12a")
     print("\n" + result.text)
     data = result.data
     for app in APPS:

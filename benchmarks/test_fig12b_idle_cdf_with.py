@@ -5,12 +5,12 @@ fraction of short idle periods drops relative to Figure 12(a) (the paper
 quotes ≤500 ms coverage dropping from ~90.4% to ~75.7%).
 """
 
-from repro.experiments import APPS, fig12a, fig12b
+from repro.experiments import APPS
 
 
-def test_fig12b_idle_cdf_with(runner):
-    without = fig12a(runner)
-    result = fig12b(runner)
+def test_fig12b_idle_cdf_with(render):
+    without = render("fig12a")
+    result = render("fig12b")
     print("\n" + result.text)
     for app in APPS:
         fractions = list(result.data[app].values())

@@ -5,7 +5,7 @@ history > staggered > prediction > simple (15.6% / 9.8% / 6.3% / 4.7%
 average savings in the paper); multi-speed beats spin-down.
 """
 
-from repro.experiments import APPS, POLICIES, fig12c
+from repro.experiments import APPS, POLICIES
 
 
 def averages(data):
@@ -15,8 +15,8 @@ def averages(data):
     }
 
 
-def test_fig12c_energy_without(runner):
-    result = fig12c(runner)
+def test_fig12c_energy_without(render):
+    result = render("fig12c")
     print("\n" + result.text)
     avg = averages(result.data)
     savings = {p: 1 - v for p, v in avg.items()}

@@ -5,7 +5,7 @@ Paper shape: the scheme roughly doubles every policy's savings
 multi-speed pair), with every policy strictly better than without it.
 """
 
-from repro.experiments import APPS, POLICIES, fig12c, fig12d
+from repro.experiments import APPS, POLICIES
 
 
 def averages(data):
@@ -15,9 +15,9 @@ def averages(data):
     }
 
 
-def test_fig12d_energy_with(runner):
-    without = averages(fig12c(runner).data)
-    result = fig12d(runner)
+def test_fig12d_energy_with(render):
+    without = averages(render("fig12c").data)
+    result = render("fig12d")
     print("\n" + result.text)
     avg = averages(result.data)
     for policy in POLICIES:

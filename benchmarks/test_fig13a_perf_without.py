@@ -5,7 +5,7 @@ average; every spin-up lands on the critical path), the predictive
 policies stay low, and multi-speed disks barely hurt.
 """
 
-from repro.experiments import APPS, POLICIES, fig13a
+from repro.experiments import APPS, POLICIES
 
 
 def averages(data):
@@ -15,8 +15,8 @@ def averages(data):
     }
 
 
-def test_fig13a_perf_without(runner):
-    result = fig13a(runner)
+def test_fig13a_perf_without(render):
+    result = render("fig13a")
     print("\n" + result.text)
     avg = averages(result.data)
     print("average degradation:", {p: f"{v:.1%}" for p, v in avg.items()})

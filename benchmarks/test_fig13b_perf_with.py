@@ -5,7 +5,7 @@ simple strategy's average degradation drops (10.4% → 6.9% in the paper),
 and every policy's degradation is no worse than without the scheme.
 """
 
-from repro.experiments import APPS, POLICIES, fig13a, fig13b
+from repro.experiments import APPS, POLICIES
 
 
 def averages(data):
@@ -15,9 +15,9 @@ def averages(data):
     }
 
 
-def test_fig13b_perf_with(runner):
-    without = averages(fig13a(runner).data)
-    result = fig13b(runner)
+def test_fig13b_perf_with(render):
+    without = averages(render("fig13a").data)
+    result = render("fig13b")
     print("\n" + result.text)
     avg = averages(result.data)
     for policy in POLICIES:

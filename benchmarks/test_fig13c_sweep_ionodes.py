@@ -8,12 +8,11 @@ with node count.
 """
 
 from conftest import sweep_apps
-from repro.experiments import fig13c
 
 
-def test_fig13c_sweep_ionodes(runner):
+def test_fig13c_sweep_ionodes(render):
     apps = sweep_apps()
-    result = fig13c(runner, values=(2, 4, 8, 16), apps=apps)
+    result = render("fig13c", values=(2, 4, 8, 16), apps=apps)
     print("\n" + result.text)
     benefits = result.data
     # The scheme helps at the default shape and at larger node counts.

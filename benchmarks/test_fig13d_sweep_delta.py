@@ -8,13 +8,12 @@ moderate δ.
 """
 
 from conftest import sweep_apps
-from repro.experiments import fig13d
 
 
-def test_fig13d_sweep_delta(runner):
+def test_fig13d_sweep_delta(render):
     apps = sweep_apps()
     values = (5, 20, 80)
-    result = fig13d(runner, values=values, apps=apps)
+    result = render("fig13d", values=values, apps=apps)
     print("\n" + result.text)
     benefits = result.data
     # The scheme helps at every δ...

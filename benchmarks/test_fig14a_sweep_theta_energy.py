@@ -6,13 +6,12 @@ savings.
 """
 
 from conftest import sweep_apps
-from repro.experiments import fig14a
 
 
-def test_fig14a_sweep_theta_energy(runner):
+def test_fig14a_sweep_theta_energy(render):
     apps = sweep_apps()
     values = (2, 4, 8)
-    result = fig14a(runner, values=values, apps=apps)
+    result = render("fig14a", values=values, apps=apps)
     print("\n" + result.text)
     benefits = result.data
     assert all(b > 0 for b in benefits.values())

@@ -6,13 +6,12 @@ policy at every θ, and tight θ keeps the improvement from eroding.
 """
 
 from conftest import sweep_apps
-from repro.experiments import fig14b
 
 
-def test_fig14b_sweep_theta_perf(runner):
+def test_fig14b_sweep_theta_perf(render):
     apps = sweep_apps()
     values = (2, 4, 8)
-    result = fig14b(runner, values=values, apps=apps)
+    result = render("fig14b", values=values, apps=apps)
     print("\n" + result.text)
     improvements = result.data
     # The scheme never makes the policy-managed run meaningfully slower.

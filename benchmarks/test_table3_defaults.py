@@ -1,11 +1,9 @@
 """Table III — per-application execution time and disk energy under the
 Default Scheme (no power management, no scheduling)."""
 
-from repro.experiments import table3
 
-
-def test_table3_defaults(runner):
-    result = table3(runner)
+def test_table3_defaults(render):
+    result = render("table3")
     print("\n" + result.text)
     data = result.data
     # Every app simulated; wupwise is the longest run and hf is among the

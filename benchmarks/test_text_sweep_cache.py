@@ -8,16 +8,16 @@ by itself, leaving less for scheduling to win.
 
 import os
 
-from repro.experiments import APPS, cache_sensitivity
+from repro.experiments import APPS
 
 
-def test_cache_sensitivity(runner):
+def test_cache_sensitivity(render):
     # The sweep must include the cache-sensitive workload: madbench2's
     # out-of-core scans are what a bigger storage cache absorbs.
     apps = APPS if os.environ.get("REPRO_FULL_SWEEPS") else (
         "madbench2", "sar", "wupwise"
     )
-    result = cache_sensitivity(runner, sizes_mb=(32, 64, 256), apps=apps)
+    result = render("cache", sizes_mb=(32, 64, 256), apps=apps)
     print("\n" + result.text)
     benefits = result.data
     assert all(b > 0 for b in benefits.values())

@@ -117,20 +117,8 @@ from .experiments import (
     POLICIES,
     Runner,
     default_config,
-    cache_sensitivity,
-    fig12a,
-    fig12b,
-    fig12c,
-    fig12d,
-    fig13a,
-    fig13b,
-    fig13c,
-    fig13d,
-    fig14a,
-    fig14b,
-    table2_rows,
-    table3,
 )
+from .experiments.figures import FIGURES
 from .metrics import format_percent, format_table
 from .workloads import all_workloads
 
@@ -140,22 +128,6 @@ __all__ = ["main"]
 #: ``sweep``; ``--app`` accepts any of them, while the all-apps defaults
 #: of verify/lint/analyze stay pinned to the paper corpus.
 WORKLOAD_CHOICES = tuple(w.name for w in all_workloads())
-
-FIGURES = {
-    "table2": lambda runner: table2_rows(runner.config),
-    "table3": table3,
-    "fig12a": fig12a,
-    "fig12b": fig12b,
-    "fig12c": fig12c,
-    "fig12d": fig12d,
-    "fig13a": fig13a,
-    "fig13b": fig13b,
-    "fig13c": fig13c,
-    "fig13d": fig13d,
-    "fig14a": fig14a,
-    "fig14b": fig14b,
-    "cache": cache_sensitivity,
-}
 
 
 def _path(value: str) -> str:

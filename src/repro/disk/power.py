@@ -22,7 +22,6 @@ __all__ = [
     "power_bounds",
     "rest_power_ceiling",
     "serve_power_bounds",
-    "burst_power_ceiling",
 ]
 
 RPM_UP = "rpm_up"
@@ -162,18 +161,6 @@ def serve_power_bounds(
     groups = reachable_power_states(spec, can_spin_down, can_ramp)
     watts = [model.power_of(label) for label in groups["serve"]]
     return min(watts), max(watts)
-
-
-def burst_power_ceiling(
-    spec: DiskSpec, can_spin_down: bool, can_ramp: bool
-) -> float:
-    """Max watts over the burst transients (spin-up, up-ramps); falls back
-    to the rest ceiling when the policy has no burst states."""
-    model = DiskPowerModel(spec)
-    groups = reachable_power_states(spec, can_spin_down, can_ramp)
-    if not groups["burst"]:
-        return rest_power_ceiling(spec, can_spin_down, can_ramp)
-    return max(model.power_of(label) for label in groups["burst"])
 
 
 class DiskPowerModel:

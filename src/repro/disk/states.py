@@ -25,8 +25,6 @@ __all__ = [
     "seek_at",
     "parse_rpm",
     "is_idle_family",
-    "is_low_power",
-    "is_serving",
 ]
 
 ACTIVE_READ = "active_read"
@@ -80,12 +78,3 @@ def is_idle_family(state: str) -> bool:
     """
     return base_state(state) in {IDLE, STANDBY, SPIN_UP, SPIN_DOWN, RPM_CHANGE}
 
-
-def is_low_power(state: str) -> bool:
-    """True when the disk is in a reduced-power condition."""
-    return base_state(state) in {STANDBY, SPIN_DOWN}
-
-
-def is_serving(state: str) -> bool:
-    """True when the disk is actively seeking or transferring."""
-    return base_state(state) in {ACTIVE_READ, ACTIVE_WRITE, SEEK}

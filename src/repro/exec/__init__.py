@@ -1,5 +1,5 @@
 """Parallel experiment execution: process-pool fan-out, content-addressed
-result caching, grid enumeration and the ``repro bench`` gate record.
+result caching, figure run grids and the ``repro bench`` gate record.
 
 Layout:
 
@@ -10,7 +10,8 @@ Layout:
   on-disk store keyed by the canonical config digest;
 * :mod:`~repro.exec.executor` — :class:`RunPoint`, one grid cell, and
   :func:`execute_point` (verify gating, then simulation);
-* :mod:`~repro.exec.grid` — which run points each paper figure consumes;
+* :mod:`~repro.exec.grid` — which run points each paper figure reads,
+  found by rendering the figure once against a recording runner;
 * :mod:`~repro.exec.journal` — :class:`DurableJournal`, the fsync'd
   truncated-tail-tolerant JSONL substrate shared by the campaign journal
   and the scheduling server's admission WAL (``repro serve --recover``);
@@ -39,7 +40,6 @@ from .grid import (
     GRID_FIGURES,
     all_figure_points,
     figure_points,
-    with_fault_plan,
 )
 from .journal import (
     WAL_SCHEMA_VERSION,
@@ -92,7 +92,6 @@ __all__ = [
     "merge_metrics_dir",
     "figure_points",
     "all_figure_points",
-    "with_fault_plan",
     "GRID_FIGURES",
     "QUICK_FIGURES",
     "run_bench",

@@ -34,6 +34,19 @@ _FIELD_CHECKS = {
     "bool": (lambda v: isinstance(v, bool), "a bool"),
 }
 
+#: Smallest legal value of each bounded integer field.
+_FIELD_MINIMUMS = {
+    "n_clients": 1,
+    "n_ionodes": 1,
+    "stripe_size": 1,
+    "cache_bytes": 0,
+    "delta": 0,
+    "theta": 1,
+    "granularity": 1,
+    "buffer_capacity_blocks": 1,
+    "max_slack": 0,
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -111,20 +124,21 @@ class ExperimentConfig:
                         f"config field {f.name!r} must be {expected}, "
                         f"got {value!r}"
                     )
-        # Ranges the workload generators and the striping code assume: a
-        # non-positive scale would be clamped to a minimum-size workload
-        # under a digest of its own, and zero clients or I/O nodes fail
-        # deep inside the IR or the stripe map.
+        # Ranges the workloads, the compiler and the storage stack assume:
+        # a non-positive scale would be clamped to a minimum-size workload
+        # under a digest of its own, and every value below its minimum
+        # fails deep inside a run (the IR, the stripe map, the schedulers
+        # or the prefetch buffer).
         if not (math.isfinite(self.workload_scale)
                 and self.workload_scale > 0):
             raise ValueError(
                 "config field 'workload_scale' must be finite and > 0, "
                 f"got {self.workload_scale!r}"
             )
-        for name in ("n_clients", "n_ionodes"):
-            if getattr(self, name) < 1:
+        for name, minimum in _FIELD_MINIMUMS.items():
+            if getattr(self, name) < minimum:
                 raise ValueError(
-                    f"config field {name!r} must be >= 1, "
+                    f"config field {name!r} must be >= {minimum}, "
                     f"got {getattr(self, name)!r}"
                 )
 

@@ -4,7 +4,9 @@ Each function regenerates the rows/series of one table or figure from the
 paper's evaluation (§V) and returns a :class:`FigureResult` whose ``text``
 is the printable table and whose ``data`` is the raw structure tests
 assert on.  All functions share one memoizing :class:`Runner`, so a full
-sweep reuses every run it can.
+sweep reuses every run it can.  :data:`FIGURES` names them; the run grid
+of each is whatever it reads from the runner
+(:func:`repro.exec.grid.figure_points`).
 
 Paper ↔ function map:
 
@@ -37,6 +39,7 @@ from .runner import POLICIES, Runner
 
 __all__ = [
     "FigureResult",
+    "FIGURES",
     "APPS",
     "table2_rows",
     "table3",
@@ -382,3 +385,22 @@ def cache_sensitivity(
         title="§V-D: scheme benefit vs storage-cache capacity",
     )
     return FigureResult("cache_sensitivity", data, text)
+
+
+#: Figure name → driver, paper order.  Every driver takes the runner
+#: first; the sweeps also take their ``values``/``sizes_mb`` and ``apps``.
+FIGURES = {
+    "table2": lambda runner: table2_rows(runner.config),
+    "table3": table3,
+    "fig12a": fig12a,
+    "fig12b": fig12b,
+    "fig12c": fig12c,
+    "fig12d": fig12d,
+    "fig13a": fig13a,
+    "fig13b": fig13b,
+    "fig13c": fig13c,
+    "fig13d": fig13d,
+    "fig14a": fig14a,
+    "fig14b": fig14b,
+    "cache": cache_sensitivity,
+}

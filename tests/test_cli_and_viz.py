@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.cli import FIGURES, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments.figures import FIGURES
 from repro.viz import access_density_timeline, drive_state_gantt
 
 from conftest import drain, make_drive, submit_read
@@ -78,6 +79,8 @@ class TestParser:
             ("--scale", "nan"),
             ("--clients", "0"),
             ("--ionodes", "0"),
+            ("--delta", "-1"),
+            ("--theta", "0"),
         ],
     )
     def test_out_of_range_config_exits_2(self, flag, value, capsys):

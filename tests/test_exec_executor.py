@@ -8,7 +8,6 @@ surfaces as a clear top-level error instead of hanging the pool.
 
 import pytest
 
-from repro.cli import FIGURES
 from repro.exec import (
     CampaignSupervisor,
     ResultCache,
@@ -20,6 +19,7 @@ from repro.exec import (
 )
 from repro.exec.grid import GRID_FIGURES
 from repro.experiments import APPS, ExperimentConfig, Runner, fig12c
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import RunResult
 from repro.metrics.idle import idle_cdf
 
@@ -58,6 +58,15 @@ class TestGrid:
     def test_sweep_points_carry_swept_config(self):
         deltas = {p.config.delta for p in figure_points("fig13d", TINY)}
         assert len(deltas) > 1
+
+    def test_sliced_sweep_reads_only_its_slice(self):
+        """Driver arguments narrow the grid exactly as they narrow the
+        figure: two node counts × one app × scheme off/on."""
+        points = figure_points("fig13c", TINY, values=(2, 8), apps=("sar",))
+        assert len(points) == 4
+        assert {(p.workload, p.config.n_ionodes) for p in points} == {
+            ("sar", 2), ("sar", 8)
+        }
 
     @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_grid_covers_every_run_the_figure_renders(self, name,

@@ -118,11 +118,19 @@ class TestConfig:
             {"workload_scale": float("inf")},
             {"n_clients": 0},
             {"n_ionodes": -2},
+            {"delta": -1},
+            {"theta": 0},
+            {"granularity": 0},
+            {"stripe_size": 0},
+            {"max_slack": -1},
+            {"cache_bytes": -1},
+            {"buffer_capacity_blocks": 0},
         ],
     )
     def test_out_of_range_field_rejected(self, changes):
-        """A scale that is not finite and positive, or fewer than one
-        client or I/O node, is refused before any workload is built."""
+        """A scale that is not finite and positive, or a platform or
+        compiler value below its minimum, is refused before any workload
+        is built."""
         with pytest.raises(ValueError, match="config field"):
             ExperimentConfig().scaled(**changes)
 

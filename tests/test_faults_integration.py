@@ -28,7 +28,6 @@ from repro.exec import (
     merge_metrics_dir,
     point_digest,
     run_result_to_dict,
-    with_fault_plan,
 )
 from repro.experiments import ExperimentConfig, Runner
 from repro.faults import FaultEvent, FaultPlan, save_plan
@@ -250,11 +249,11 @@ class TestSeededReplay:
     def points(self):
         # >= 2 cache misses, so --jobs 4 genuinely exercises the pool
         # (a single miss is forced serial by the supervisor).
-        base = [
-            RunPoint("sar", "simple", True, SMALL),
-            RunPoint("madbench2", "simple", True, SMALL),
+        faulted = SMALL.scaled(fault_plan=REPLAY_PLAN)
+        return [
+            RunPoint("sar", "simple", True, faulted),
+            RunPoint("madbench2", "simple", True, faulted),
         ]
-        return with_fault_plan(base, REPLAY_PLAN)
 
     def test_serial_and_parallel_identical(self, tmp_path):
         points = self.points()

@@ -147,6 +147,13 @@ class TestAdmissionDurability:
             {"workload_scale": 0.0},
             {"n_clients": 0},
             {"n_ionodes": 0},
+            {"delta": -1},
+            {"theta": 0},
+            {"granularity": 0},
+            {"stripe_size": 0},
+            {"max_slack": -1},
+            {"cache_bytes": -1},
+            {"buffer_capacity_blocks": 0},
         ],
     )
     def test_out_of_range_config_is_400_before_the_wal(self, tmp_path,
