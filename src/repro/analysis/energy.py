@@ -66,16 +66,7 @@ from ..disk.power import (
 from ..disk.specs import DiskSpec
 from ..ir.dependence import AffineDependenceAnalyzer, certainly_cold_blocks
 from ..ir.profiling import AccessTrace
-from ..power import (
-    CreditMultiSpeed,
-    ForecastSpindown,
-    HistoryBasedMultiSpeed,
-    HybridCompilerAssist,
-    NoPowerManagement,
-    PredictionSpinDown,
-    SimpleSpinDown,
-    StaggeredMultiSpeed,
-)
+from ..power import POLICY_CLASSES
 from ..power.hints import nominal_node_touch_times
 from ..runtime.mpi_io import REQUEST_MESSAGE_BYTES
 from ..runtime.scheduler_thread import issue_window, will_prefetch
@@ -119,21 +110,11 @@ register_codes(
     },
 )
 
-#: Name → policy class; capability flags are read off the class so the
-#: analyzer and the simulator share one declaration (see PowerPolicy).
-POLICY_CLASSES = {
-    "default": NoPowerManagement,
-    "simple": SimpleSpinDown,
-    "prediction": PredictionSpinDown,
-    "history": HistoryBasedMultiSpeed,
-    "staggered": StaggeredMultiSpeed,
-    # Online family (repro.power.online): adaptivity changes *when* the
-    # capabilities fire, not *which* power states are reachable, so the
-    # same capability-derived bounds stay sound without new physics.
-    "forecast": ForecastSpindown,
-    "credit": CreditMultiSpeed,
-    "hybrid": HybridCompilerAssist,
-}
+# Capability flags are read off ``repro.power.POLICY_CLASSES`` (re-exported
+# here), the same table the simulator wiring picks the disk from.  The
+# online family's adaptivity changes *when* the capabilities fire, not
+# *which* power states are reachable, so the same capability-derived
+# bounds stay sound for it without new physics.
 
 #: The CI soundness corpus sweeps these policies (one per capability
 #: class: none / spin-down / multi-speed) for every workload × scheme.

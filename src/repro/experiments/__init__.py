@@ -21,7 +21,6 @@ from .figures import (
     table3,
 )
 from .runner import (
-    MULTISPEED_POLICIES,
     ONLINE_POLICIES,
     POLICIES,
     Runner,
@@ -43,7 +42,6 @@ __all__ = [
     "RunResult",
     "POLICIES",
     "ONLINE_POLICIES",
-    "MULTISPEED_POLICIES",
     "Entrant",
     "DEFAULT_ENTRANTS",
     "SCENARIOS",

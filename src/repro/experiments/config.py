@@ -16,20 +16,25 @@ from typing import Optional
 
 from ..disk.specs import TABLE2_DISK, DiskSpec, table2_multispeed_spec
 from ..faults.plan import FaultPlan
+from ..power import POLICY_CLASSES
 from ..runtime.session import SessionConfig
+from ..storage.raid import RaidMap
 
-__all__ = ["ExperimentConfig", "default_config", "bench_scale"]
+__all__ = ["ExperimentConfig", "POLICY_KNOBS", "default_config", "bench_scale"]
 
 KB = 1024
 MB = 1024 * KB
 
 #: Annotation -> (check, description) for the scalar config fields.
-#: ``bool`` is an ``int`` subclass, so the numeric checks exclude it.
+#: ``bool`` is an ``int`` subclass, so the numeric checks exclude it.  A
+#: NaN or infinite time would corrupt the simulator's event heap.
 _FIELD_CHECKS = {
     "int": (lambda v: type(v) is int, "an int"),
     "float": (
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-        "a number",
+        lambda v: isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and math.isfinite(v),
+        "a finite number",
     ),
     "bool": (lambda v: isinstance(v, bool), "a bool"),
 }
@@ -45,6 +50,19 @@ _FIELD_MINIMUMS = {
     "granularity": 1,
     "buffer_capacity_blocks": 1,
     "max_slack": 0,
+}
+
+#: Policy name -> (constructor keyword, config field): the one tuned
+#: value each configurable policy takes from the config.  The policy's
+#: own constructor is also what bounds the field.
+POLICY_KNOBS = {
+    "simple": ("timeout", "simple_timeout"),
+    "prediction": ("breakeven_margin", "prediction_margin"),
+    "history": ("utilization_bound", "history_utilization_bound"),
+    "staggered": ("step_timeout", "staggered_step"),
+    "forecast": ("epoch", "forecast_epoch"),
+    "credit": ("slack_budget", "credit_slack"),
+    "hybrid": ("divergence_tolerance", "hybrid_divergence"),
 }
 
 
@@ -124,11 +142,12 @@ class ExperimentConfig:
                         f"config field {f.name!r} must be {expected}, "
                         f"got {value!r}"
                     )
-        # Ranges the workloads, the compiler and the storage stack assume:
-        # a non-positive scale would be clamped to a minimum-size workload
-        # under a digest of its own, and every value below its minimum
-        # fails deep inside a run (the IR, the stripe map, the schedulers
-        # or the prefetch buffer).
+        # Ranges the workloads, the compiler, the storage stack and the
+        # policies assume: a non-positive scale would be clamped to a
+        # minimum-size workload under a digest of its own, and every other
+        # out-of-range value fails deep inside a run (the IR, the stripe
+        # map, the RAID layout, the schedulers, the prefetch buffer or the
+        # policy constructor).
         if not (math.isfinite(self.workload_scale)
                 and self.workload_scale > 0):
             raise ValueError(
@@ -141,10 +160,30 @@ class ExperimentConfig:
                     f"config field {name!r} must be >= {minimum}, "
                     f"got {getattr(self, name)!r}"
                 )
+        try:
+            RaidMap(self.raid_level, self.disks_per_node, self.stripe_size)
+        except ValueError as exc:
+            raise ValueError(
+                "config fields 'raid_level' and 'disks_per_node' "
+                f"({self.raid_level}, {self.disks_per_node}) form no RAID "
+                f"array: {exc}"
+            ) from None
+        for policy, (_keyword, name) in POLICY_KNOBS.items():
+            try:
+                POLICY_CLASSES[policy](**self.policy_kwargs(policy))
+            except ValueError as exc:
+                raise ValueError(f"config field {name!r}: {exc}") from None
 
     def disk_spec(self, multispeed: bool) -> DiskSpec:
         """Table II single-speed or DRPM disk."""
         return table2_multispeed_spec() if multispeed else TABLE2_DISK
+
+    def policy_kwargs(self, policy: str) -> dict[str, object]:
+        """Constructor keywords this config sets for ``policy``."""
+        if policy not in POLICY_KNOBS:
+            return {}
+        keyword, name = POLICY_KNOBS[policy]
+        return {keyword: getattr(self, name)}
 
     def session_config(self) -> SessionConfig:
         return SessionConfig(

@@ -18,16 +18,7 @@ from ..ir.profiling import AccessTrace, trace_program
 from ..metrics.energy import breakdown_until, idle_periods_until
 from ..metrics.idle import IdleCDF, idle_cdf
 from ..obs.base import Observability
-from ..power import (
-    CreditMultiSpeed,
-    ForecastSpindown,
-    HistoryBasedMultiSpeed,
-    HybridCompilerAssist,
-    NoPowerManagement,
-    PredictionSpinDown,
-    SimpleSpinDown,
-    StaggeredMultiSpeed,
-)
+from ..power import POLICY_CLASSES, make_policy
 from ..runtime.session import Session
 from ..workloads import get_workload
 from .config import ExperimentConfig
@@ -40,15 +31,12 @@ __all__ = [
     "Runner",
     "POLICIES",
     "ONLINE_POLICIES",
-    "MULTISPEED_POLICIES",
 ]
 
 #: The paper's four evaluated policies — figure grids are pinned to these.
 POLICIES = ("simple", "prediction", "history", "staggered")
 #: The online/adaptive family (beyond the paper; see ``repro.power.online``).
 ONLINE_POLICIES = ("forecast", "credit", "hybrid")
-#: Policies that run on the DRPM (multi-speed) disk spec.
-MULTISPEED_POLICIES = frozenset({"history", "staggered", "credit"})
 
 
 @dataclass
@@ -189,39 +177,19 @@ class Runner:
         exactly when the scheme is on for a known workload; otherwise the
         policy runs hint-less (pure online fallback).
         """
-        if policy == "default":
-            return lambda: NoPowerManagement()
-        if policy == "simple":
-            return lambda: SimpleSpinDown(timeout=cfg.simple_timeout)
-        if policy == "prediction":
-            return lambda: PredictionSpinDown(
-                breakeven_margin=cfg.prediction_margin
-            )
-        if policy == "history":
-            return lambda: HistoryBasedMultiSpeed(
-                utilization_bound=cfg.history_utilization_bound
-            )
-        if policy == "staggered":
-            return lambda: StaggeredMultiSpeed(step_timeout=cfg.staggered_step)
-        if policy == "forecast":
-            return lambda: ForecastSpindown(epoch=cfg.forecast_epoch)
-        if policy == "credit":
-            return lambda: CreditMultiSpeed(slack_budget=cfg.credit_slack)
-        if policy == "hybrid":
-            hints: dict[int, tuple[float, ...]] = {}
-            if scheme and workload is not None:
-                from ..power.hints import nominal_node_touch_times
+        if policy not in POLICY_CLASSES:
+            raise ValueError(f"unknown policy {policy!r}")
+        kwargs = cfg.policy_kwargs(policy)
+        if policy == "hybrid" and scheme and workload is not None:
+            from ..power.hints import nominal_node_touch_times
 
-                hints = nominal_node_touch_times(
-                    self.trace(workload, cfg),
-                    cfg.n_ionodes,
-                    cfg.stripe_size,
-                    book=self.compilation(workload, cfg).book,
-                )
-            return lambda: HybridCompilerAssist(
-                hints=hints, divergence_tolerance=cfg.hybrid_divergence
+            kwargs["hints"] = nominal_node_touch_times(
+                self.trace(workload, cfg),
+                cfg.n_ionodes,
+                cfg.stripe_size,
+                book=self.compilation(workload, cfg).book,
             )
-        raise ValueError(f"unknown policy {policy!r}")
+        return lambda: make_policy(policy, **kwargs)
 
     # ------------------------------------------------------------------
     # Running
@@ -242,11 +210,13 @@ class Runner:
         self.simulations += 1
         trace = self.trace(workload, cfg)
         compile_result = self.compilation(workload, cfg) if scheme else None
-        multispeed = policy in MULTISPEED_POLICIES
+        factory = self._policy_factory(
+            policy, cfg, workload=workload, scheme=scheme
+        )
         session = Session(
             trace,
-            cfg.disk_spec(multispeed),
-            self._policy_factory(policy, cfg, workload=workload, scheme=scheme),
+            cfg.disk_spec(POLICY_CLASSES[policy].can_ramp),
+            factory,
             cfg.session_config(),
             compile_result=compile_result,
             obs=obs,

@@ -15,7 +15,7 @@ request retargets full speed.
 from __future__ import annotations
 
 from .policy import PowerPolicy
-from .predictor import IdlePredictor
+from .predictor import PredictivePolicy
 
 __all__ = ["HistoryBasedMultiSpeed", "StaggeredMultiSpeed", "speed_for_idle"]
 
@@ -40,7 +40,7 @@ def speed_for_idle(spec, predicted_idle: float, utilization_bound: float = 0.5) 
     return best
 
 
-class HistoryBasedMultiSpeed(PowerPolicy):
+class HistoryBasedMultiSpeed(PredictivePolicy):
     """Prediction-driven single jump to the best speed (Figure 3(a))."""
 
     name = "history"
@@ -48,53 +48,29 @@ class HistoryBasedMultiSpeed(PowerPolicy):
 
     def __init__(
         self,
-        predictor: IdlePredictor | None = None,
         utilization_bound: float = 0.8,
-        min_observe: float = 0.2,
         escalate_after: float = 2.0,
-        decision_delay: float = 0.3,
     ):
-        """``min_observe`` filters service-continuation micro-gaps out of
-        the predictor's history (see :class:`PredictionSpinDown`).
+        """``utilization_bound`` is forwarded to :func:`speed_for_idle`.
         ``escalate_after`` is the safety net for gaps the history failed
         to anticipate: when the prediction said "too short to bother" but
         the disk is still idle after this many seconds, the policy starts
         stepping the speed down after all (with doubling re-check
-        intervals).  0 disables escalation.  ``decision_delay`` is the
-        idleness-detection dwell: with multi-second RPM transitions,
-        committing to a ramp during a queue-drain micro-gap would stall
-        the next request behind the in-flight step, so the policy waits
-        this long before acting (the role the paper's 50 ms thresholds
-        play on its much faster substrate)."""
+        intervals).  0 disables escalation."""
         super().__init__()
-        self.predictor = predictor or IdlePredictor()
         if not 0 < utilization_bound <= 1:
             raise ValueError(
                 f"utilization_bound must be in (0, 1]: {utilization_bound}"
             )
-        if min_observe < 0:
-            raise ValueError(f"min_observe must be non-negative: {min_observe}")
         if escalate_after < 0:
             raise ValueError(f"escalate_after must be non-negative: {escalate_after}")
-        if decision_delay < 0:
-            raise ValueError(f"decision_delay must be non-negative: {decision_delay}")
         self.utilization_bound = utilization_bound
-        self.min_observe = min_observe
         self.escalate_after = escalate_after
-        self.decision_delay = decision_delay
-        self._idle_since: float | None = None
         self.speed_choices: list[int] = []
         self.escalations = 0
 
-    def on_idle_start(self, now: float) -> None:
-        self._idle_since = now
-        self._arm_timer(self.decision_delay, self._decide)
-
-    def _decide(self) -> None:
-        """The idleness survived the detection dwell: commit to a speed."""
-        self._timer = None
-        if not self.drive.is_idle or self.drive.is_standby:
-            return
+    def _decide_idle(self, now: float, elapsed: float) -> None:
+        """Commit to a speed."""
         spec = self.drive.spec
         # Depth follows the *predicted* length (paper §II: "switches to
         # RPM_i" for the predicted idleness) — committing deeper than the
@@ -113,12 +89,11 @@ class HistoryBasedMultiSpeed(PowerPolicy):
             # The timer uses the *upper* estimate: waking too early throws
             # away the remaining saving, while waking late just means the
             # request is served at a low speed (a bounded penalty).
-            ramp_back = spec.rpm_change_time(rpm, spec.max_rpm)
-            elapsed = self.sim.now - (self._idle_since or self.sim.now)
-            wake_delay = max(
-                self.predictor.predict_upper() - ramp_back - elapsed, 0.0
+            self._speed_up_at(
+                self.predictor.predict_upper(),
+                spec.rpm_change_time(rpm, spec.max_rpm),
+                elapsed,
             )
-            self._arm_timer(wake_delay, self._proactive_speed_up)
         elif self.escalate_after > 0 and rpm > spec.min_rpm:
             # Unconfident prediction: whatever depth was chosen, keep
             # deepening if the gap outlives the estimate (runaway gaps
@@ -156,27 +131,9 @@ class HistoryBasedMultiSpeed(PowerPolicy):
             return False
         return self.predictor.predict() >= 0.5 * upper
 
-    def _proactive_speed_up(self) -> None:
-        self._timer = None
-        if self.drive.is_idle and not self.drive.is_standby:
-            self.drive.request_rpm(self.drive.spec.max_rpm)
-
-    def _observe(self, length: float) -> None:
-        if length >= self.min_observe:
-            self.predictor.observe(length)
-
     def on_request_arrival(self, now: float) -> None:
-        self._cancel_timer()
-        if self._idle_since is not None:
-            self._observe(now - self._idle_since)
-            self._idle_since = None
+        super().on_request_arrival(now)
         self.drive.request_rpm(self.drive.spec.max_rpm)
-
-    def on_simulation_end(self, now: float) -> None:
-        if self._idle_since is not None and now > self._idle_since:
-            self._observe(now - self._idle_since)
-            self._idle_since = None
-        super().on_simulation_end(now)
 
 
 class StaggeredMultiSpeed(PowerPolicy):

@@ -24,23 +24,23 @@ compiled schedules:
   whenever observation diverges from the table — or when no table was
   compiled at all.
 
-All three are ordinary :class:`~repro.power.policy.PowerPolicy`
-implementations: they see only their drive's notifications and timers,
-so runs replay bit-identically at any ``--jobs`` and the static analyzer
-bounds them soundly through the same ``can_spin_down`` / ``can_ramp``
-capability declarations as the paper policies.
+All three derive from :class:`~repro.power.predictor.PredictivePolicy`,
+like the paper's two predictive policies.  They see only their drive's
+notifications and timers, so runs replay bit-identically at any
+``--jobs`` and the static analyzer bounds them soundly through the
+same ``can_spin_down`` / ``can_ramp`` capability declarations as the
+paper policies.
 """
 
 from __future__ import annotations
 
 from .multispeed import speed_for_idle
-from .policy import PowerPolicy
-from .predictor import IdlePredictor
+from .predictor import PredictivePolicy
 
 __all__ = ["ForecastSpindown", "CreditMultiSpeed", "HybridCompilerAssist"]
 
 
-class ForecastSpindown(PowerPolicy):
+class ForecastSpindown(PredictivePolicy):
     """Workload-forecasting spin-down (epoch demand × idle history)."""
 
     name = "forecast"
@@ -48,13 +48,9 @@ class ForecastSpindown(PowerPolicy):
 
     def __init__(
         self,
-        predictor: IdlePredictor | None = None,
         epoch: float = 30.0,
         demand_alpha: float = 0.5,
         demand_weight: float = 0.5,
-        breakeven_margin: float = 1.0,
-        min_observe: float = 0.2,
-        decision_delay: float = 0.3,
     ):
         """``epoch`` is the demand-forecast bucket width (seconds):
         arrivals are counted per epoch and folded into an EWMA with
@@ -62,10 +58,8 @@ class ForecastSpindown(PowerPolicy):
         ``(1 − w)·idle_prediction + w·epoch/demand`` with
         ``w = demand_weight`` — a low forecast demand argues *for*
         spinning down even when the recent idle history alone is
-        inconclusive, and a hot epoch vetoes a marginal spin-down.
-        The remaining knobs match :class:`PredictionSpinDown`."""
+        inconclusive, and a hot epoch vetoes a marginal spin-down."""
         super().__init__()
-        self.predictor = predictor or IdlePredictor()
         if epoch <= 0:
             raise ValueError(f"epoch must be positive: {epoch}")
         if not 0.0 < demand_alpha <= 1.0:
@@ -74,19 +68,9 @@ class ForecastSpindown(PowerPolicy):
             raise ValueError(
                 f"demand_weight must be in [0, 1]: {demand_weight}"
             )
-        if breakeven_margin <= 0:
-            raise ValueError(f"breakeven_margin must be positive: {breakeven_margin}")
-        if min_observe < 0:
-            raise ValueError(f"min_observe must be non-negative: {min_observe}")
-        if decision_delay < 0:
-            raise ValueError(f"decision_delay must be non-negative: {decision_delay}")
         self.epoch = epoch
         self.demand_alpha = demand_alpha
         self.demand_weight = demand_weight
-        self.breakeven_margin = breakeven_margin
-        self.min_observe = min_observe
-        self.decision_delay = decision_delay
-        self._idle_since: float | None = None
         self._epoch_end = epoch
         self._epoch_arrivals = 0
         self._demand = 0.0          # EWMA arrivals per epoch
@@ -136,56 +120,29 @@ class ForecastSpindown(PowerPolicy):
     # -- notifications -----------------------------------------------------
     def on_idle_start(self, now: float) -> None:
         self._roll_epochs(now)
-        self._idle_since = now
-        self._arm_timer(self.decision_delay, self._decide)
+        super().on_idle_start(now)
 
-    def _decide(self) -> None:
-        self._timer = None
-        if not self.drive.is_idle or self.drive.is_standby:
-            return
-        now = self.sim.now
+    def _decide_idle(self, now: float, elapsed: float) -> None:
         self._roll_epochs(now)
-        elapsed = now - (self._idle_since or now)
         forecast = self.forecast_gap()
         self.forecasts += 1
-        threshold = (
-            self.drive.spec.breakeven_idle_seconds() * self.breakeven_margin
-        )
-        if forecast >= threshold and self.drive.spin_down():
+        # Wake on the more conservative of the window upper estimate
+        # and the blended forecast (see PredictionSpinDown for why
+        # waking early is the costlier failure mode).
+        if forecast >= self.drive.spec.breakeven_idle_seconds() and (
+            self._spin_down_until(
+                max(self.predictor.predict_upper(), forecast), elapsed
+            )
+        ):
             self.spin_down_decisions += 1
-            # Wake on the more conservative of the window upper estimate
-            # and the blended forecast (see PredictionSpinDown for why
-            # waking early is the costlier failure mode).
-            upper = max(self.predictor.predict_upper(), forecast)
-            wake_delay = upper - self.drive.spec.spin_up_time - elapsed
-            wake_delay = max(wake_delay, self.drive.spec.spin_down_time)
-            self._arm_timer(wake_delay, self._proactive_wake)
-
-    def _proactive_wake(self) -> None:
-        self._timer = None
-        if self.drive.is_standby and self.drive.is_idle:
-            self.drive.spin_up()
 
     def on_request_arrival(self, now: float) -> None:
-        self._cancel_timer()
         self._roll_epochs(now)
         self._epoch_arrivals += 1
-        if self._idle_since is not None:
-            length = now - self._idle_since
-            if length >= self.min_observe:
-                self.predictor.observe(length)
-            self._idle_since = None
-
-    def on_simulation_end(self, now: float) -> None:
-        if self._idle_since is not None and now > self._idle_since:
-            length = now - self._idle_since
-            if length >= self.min_observe:
-                self.predictor.observe(length)
-            self._idle_since = None
-        super().on_simulation_end(now)
+        super().on_request_arrival(now)
 
 
-class CreditMultiSpeed(PowerPolicy):
+class CreditMultiSpeed(PredictivePolicy):
     """Credit-based DRPM speed selector with a performance-slack budget."""
 
     name = "credit"
@@ -193,12 +150,9 @@ class CreditMultiSpeed(PowerPolicy):
 
     def __init__(
         self,
-        predictor: IdlePredictor | None = None,
         slack_budget: float = 0.05,
         credit_cap: float = 60.0,
         utilization_bound: float = 1.0,
-        min_observe: float = 0.2,
-        decision_delay: float = 0.3,
     ):
         """``slack_budget`` is the fraction of elapsed time the policy may
         spend as worst-case performance exposure: credits (seconds) accrue
@@ -210,7 +164,6 @@ class CreditMultiSpeed(PowerPolicy):
         :func:`~repro.power.multispeed.speed_for_idle` — the default 1.0
         leaves pacing entirely to the credit budget."""
         super().__init__()
-        self.predictor = predictor or IdlePredictor()
         if not 0.0 < slack_budget <= 1.0:
             raise ValueError(f"slack_budget must be in (0, 1]: {slack_budget}")
         if credit_cap <= 0:
@@ -219,18 +172,11 @@ class CreditMultiSpeed(PowerPolicy):
             raise ValueError(
                 f"utilization_bound must be in (0, 1]: {utilization_bound}"
             )
-        if min_observe < 0:
-            raise ValueError(f"min_observe must be non-negative: {min_observe}")
-        if decision_delay < 0:
-            raise ValueError(f"decision_delay must be non-negative: {decision_delay}")
         self.slack_budget = slack_budget
         self.credit_cap = credit_cap
         self.utilization_bound = utilization_bound
-        self.min_observe = min_observe
-        self.decision_delay = decision_delay
         self._credit = 0.0
         self._last_accrual = 0.0
-        self._idle_since: float | None = None
         self.ramps_taken = 0
         self.ramps_deferred = 0
         self.credit_spent = 0.0
@@ -248,17 +194,11 @@ class CreditMultiSpeed(PowerPolicy):
 
     def on_idle_start(self, now: float) -> None:
         self._accrue(now)
-        self._idle_since = now
-        self._arm_timer(self.decision_delay, self._decide)
+        super().on_idle_start(now)
 
-    def _decide(self) -> None:
-        self._timer = None
-        drive = self.drive
-        if not drive.is_idle or drive.is_standby:
-            return
-        now = self.sim.now
+    def _decide_idle(self, now: float, elapsed: float) -> None:
         self._accrue(now)
-        spec = drive.spec
+        spec = self.drive.spec
         predicted = self.predictor.predict()
         rpm = speed_for_idle(spec, predicted, self.utilization_bound)
         if rpm == spec.max_rpm:
@@ -270,40 +210,20 @@ class CreditMultiSpeed(PowerPolicy):
         self._credit -= cost
         self.credit_spent += cost
         self.ramps_taken += 1
-        drive.request_rpm(rpm)
+        self.drive.request_rpm(rpm)
         # Proactive ramp-back, paid for up front by the spent credit: the
         # timer targets the window's upper estimate minus the ramp time.
         upper = self.predictor.predict_upper()
         if upper > 0:
-            elapsed = now - (self._idle_since or now)
-            wake_delay = max(upper - cost - elapsed, 0.0)
-            self._arm_timer(wake_delay, self._proactive_speed_up)
-
-    def _proactive_speed_up(self) -> None:
-        self._timer = None
-        if self.drive.is_idle and not self.drive.is_standby:
-            self.drive.request_rpm(self.drive.spec.max_rpm)
+            self._speed_up_at(upper, cost, elapsed)
 
     def on_request_arrival(self, now: float) -> None:
-        self._cancel_timer()
         self._accrue(now)
-        if self._idle_since is not None:
-            length = now - self._idle_since
-            if length >= self.min_observe:
-                self.predictor.observe(length)
-            self._idle_since = None
+        super().on_request_arrival(now)
         self.drive.request_rpm(self.drive.spec.max_rpm)
 
-    def on_simulation_end(self, now: float) -> None:
-        if self._idle_since is not None and now > self._idle_since:
-            length = now - self._idle_since
-            if length >= self.min_observe:
-                self.predictor.observe(length)
-            self._idle_since = None
-        super().on_simulation_end(now)
 
-
-class HybridCompilerAssist(PowerPolicy):
+class HybridCompilerAssist(PredictivePolicy):
     """Compiler-hinted spin-down with online divergence override.
 
     Constructed with the nominal per-node touch times of
@@ -328,39 +248,24 @@ class HybridCompilerAssist(PowerPolicy):
     def __init__(
         self,
         hints: dict[int, tuple[float, ...]] | None = None,
-        predictor: IdlePredictor | None = None,
-        breakeven_margin: float = 1.0,
         divergence_tolerance: float = 5.0,
-        min_observe: float = 0.2,
-        decision_delay: float = 0.3,
     ):
         """``divergence_tolerance`` (seconds) bounds the mean absolute
         offset residual: above it, the table's timing evidently no longer
         describes the run (stragglers, degraded RAID, load imbalance) and
         the policy overrides the compiler."""
         super().__init__()
-        self.predictor = predictor or IdlePredictor()
-        if breakeven_margin <= 0:
-            raise ValueError(f"breakeven_margin must be positive: {breakeven_margin}")
         if divergence_tolerance <= 0:
             raise ValueError(
                 f"divergence_tolerance must be positive: {divergence_tolerance}"
             )
-        if min_observe < 0:
-            raise ValueError(f"min_observe must be non-negative: {min_observe}")
-        if decision_delay < 0:
-            raise ValueError(f"decision_delay must be non-negative: {decision_delay}")
         self.hints = hints or {}
-        self.breakeven_margin = breakeven_margin
         self.divergence_tolerance = divergence_tolerance
-        self.min_observe = min_observe
-        self.decision_delay = decision_delay
         self._times: tuple[float, ...] = ()
         self._cursor = 0
         self._offset = 0.0
         self._spread = 0.0
         self._aligned = 0
-        self._idle_since: float | None = None
         self.hint_decisions = 0
         self.fallback_decisions = 0
         self.overrides = 0
@@ -415,16 +320,7 @@ class HybridCompilerAssist(PowerPolicy):
         return None
 
     # -- notifications -----------------------------------------------------
-    def on_idle_start(self, now: float) -> None:
-        self._idle_since = now
-        self._arm_timer(self.decision_delay, self._decide)
-
-    def _decide(self) -> None:
-        self._timer = None
-        if not self.drive.is_idle or self.drive.is_standby:
-            return
-        now = self.sim.now
-        elapsed = now - (self._idle_since or now)
+    def _decide_idle(self, now: float, elapsed: float) -> None:
         trusted = self.hints_trusted()
         gap = self._hinted_gap(now) if trusted else None
         if gap is not None:
@@ -439,33 +335,11 @@ class HybridCompilerAssist(PowerPolicy):
             self.fallback_decisions += 1
             predicted = self.predictor.predict()
             upper = self.predictor.predict_upper()
-        threshold = (
-            self.drive.spec.breakeven_idle_seconds() * self.breakeven_margin
-        )
-        if predicted >= threshold and self.drive.spin_down():
+        if predicted >= self.drive.spec.breakeven_idle_seconds() and (
+            self._spin_down_until(upper, elapsed)
+        ):
             self.spin_down_decisions += 1
-            wake_delay = upper - self.drive.spec.spin_up_time - elapsed
-            wake_delay = max(wake_delay, self.drive.spec.spin_down_time)
-            self._arm_timer(wake_delay, self._proactive_wake)
-
-    def _proactive_wake(self) -> None:
-        self._timer = None
-        if self.drive.is_standby and self.drive.is_idle:
-            self.drive.spin_up()
 
     def on_request_arrival(self, now: float) -> None:
-        self._cancel_timer()
         self._align(now)
-        if self._idle_since is not None:
-            length = now - self._idle_since
-            if length >= self.min_observe:
-                self.predictor.observe(length)
-            self._idle_since = None
-
-    def on_simulation_end(self, now: float) -> None:
-        if self._idle_since is not None and now > self._idle_since:
-            length = now - self._idle_since
-            if length >= self.min_observe:
-                self.predictor.observe(length)
-            self._idle_since = None
-        super().on_simulation_end(now)
+        super().on_request_arrival(now)

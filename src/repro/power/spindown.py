@@ -13,7 +13,7 @@ spin-up latency.
 from __future__ import annotations
 
 from .policy import PowerPolicy
-from .predictor import IdlePredictor
+from .predictor import PredictivePolicy
 
 __all__ = ["SimpleSpinDown", "PredictionSpinDown"]
 
@@ -45,7 +45,7 @@ class SimpleSpinDown(PowerPolicy):
         # The drive wakes itself up when a request hits standby.
 
 
-class PredictionSpinDown(PowerPolicy):
+class PredictionSpinDown(PredictivePolicy):
     """Predictive spin-down with ahead-of-time wake-up."""
 
     name = "prediction"
@@ -53,72 +53,38 @@ class PredictionSpinDown(PowerPolicy):
 
     def __init__(
         self,
-        predictor: IdlePredictor | None = None,
         breakeven_margin: float = 1.0,
-        min_observe: float = 0.2,
         fallback_factor: float = 0.6,
-        decision_delay: float = 0.3,
     ):
         """``breakeven_margin`` scales the spec's break-even idle length;
-        values above 1 make the policy more conservative.  ``min_observe``
-        is the floor below which a gap is treated as service-continuation
-        noise rather than an idle *period* — micro-gaps between queued
-        bursts would otherwise poison the predictor.  ``fallback_factor``
-        arms a safety-net timeout at that multiple of the break-even
-        length: an idle period the history failed to predict (the first
-        gap of a new program phase) still transitions to standby once it
-        has provably outlived any possible misprediction cost.  Set to 0
-        to disable the fallback (pure paper §II behaviour)."""
+        values above 1 make the policy more conservative.
+        ``fallback_factor`` arms a safety-net timeout at that multiple of
+        the break-even length: an idle period the history failed to
+        predict (the first gap of a new program phase) still transitions
+        to standby once it has provably outlived any possible
+        misprediction cost.  Set to 0 to disable the fallback (pure paper
+        §II behaviour)."""
         super().__init__()
-        self.predictor = predictor or IdlePredictor()
         if breakeven_margin <= 0:
             raise ValueError(f"breakeven_margin must be positive: {breakeven_margin}")
-        if min_observe < 0:
-            raise ValueError(f"min_observe must be non-negative: {min_observe}")
         if fallback_factor < 0:
             raise ValueError(f"fallback_factor must be non-negative: {fallback_factor}")
-        if decision_delay < 0:
-            raise ValueError(f"decision_delay must be non-negative: {decision_delay}")
         self.breakeven_margin = breakeven_margin
-        self.min_observe = min_observe
         self.fallback_factor = fallback_factor
-        self.decision_delay = decision_delay
-        self._idle_since: float | None = None
         self.predictions = 0
         self.spin_down_decisions = 0
         self.fallback_spin_downs = 0
 
-    def on_idle_start(self, now: float) -> None:
-        self._idle_since = now
-        # Detection dwell: don't brake the spindle inside a queue-drain
-        # micro-gap (see HistoryBasedMultiSpeed.decision_delay).
-        self._arm_timer(self.decision_delay, self._decide)
-
-    def _decide(self) -> None:
-        self._timer = None
-        if not self.drive.is_idle or self.drive.is_standby:
-            return
-        # All timers below are relative to the *idle start*, not to this
-        # (dwelled) decision point — otherwise every wake-up lands late by
-        # the dwell and the error compounds across periodic idle trains.
-        elapsed = self.sim.now - (self._idle_since or self.sim.now)
+    def _decide_idle(self, now: float, elapsed: float) -> None:
         predicted = self.predictor.predict()
         self.predictions += 1
         threshold = self.drive.spec.breakeven_idle_seconds() * self.breakeven_margin
         if predicted >= threshold:
-            if self.drive.spin_down():
+            # Wake on the conservative upper estimate: waking early
+            # burns the remaining standby saving at full idle power,
+            # waking late costs only the usual spin-up exposure.
+            if self._spin_down_until(self.predictor.predict_upper(), elapsed):
                 self.spin_down_decisions += 1
-                # Wake on the conservative upper estimate: waking early
-                # burns the remaining standby saving at full idle power,
-                # waking late costs only the usual spin-up exposure.
-                wake_delay = (
-                    self.predictor.predict_upper()
-                    - self.drive.spec.spin_up_time
-                    - elapsed
-                )
-                # Never wake before the spin-down itself finishes.
-                wake_delay = max(wake_delay, self.drive.spec.spin_down_time)
-                self._arm_timer(wake_delay, self._proactive_wake)
         elif self.fallback_factor > 0:
             fallback = (
                 self.drive.spec.breakeven_idle_seconds() * self.fallback_factor
@@ -131,24 +97,3 @@ class PredictionSpinDown(PowerPolicy):
             if self.drive.spin_down():
                 self.fallback_spin_downs += 1
                 # Unknown end: wake on request, like the simple policy.
-
-    def _proactive_wake(self) -> None:
-        self._timer = None
-        if self.drive.is_standby and self.drive.is_idle:
-            self.drive.spin_up()
-
-    def _observe(self, length: float) -> None:
-        if length >= self.min_observe:
-            self.predictor.observe(length)
-
-    def on_request_arrival(self, now: float) -> None:
-        self._cancel_timer()
-        if self._idle_since is not None:
-            self._observe(now - self._idle_since)
-            self._idle_since = None
-
-    def on_simulation_end(self, now: float) -> None:
-        if self._idle_since is not None and now > self._idle_since:
-            self._observe(now - self._idle_since)
-            self._idle_since = None
-        super().on_simulation_end(now)

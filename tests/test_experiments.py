@@ -125,12 +125,25 @@ class TestConfig:
             {"max_slack": -1},
             {"cache_bytes": -1},
             {"buffer_capacity_blocks": 0},
+            {"forecast_epoch": 0.0},
+            {"simple_timeout": -5.0},
+            {"staggered_step": -1.0},
+            {"prediction_margin": 0.0},
+            {"history_utilization_bound": 0.0},
+            {"credit_slack": 0.0},
+            {"hybrid_divergence": 0.0},
+            {"disks_per_node": 0},
+            {"raid_level": 7},
+            {"raid_level": 5, "disks_per_node": 2},
+            {"simple_timeout": float("nan")},
+            {"staggered_step": float("inf")},
         ],
     )
     def test_out_of_range_field_rejected(self, changes):
-        """A scale that is not finite and positive, or a platform or
-        compiler value below its minimum, is refused before any workload
-        is built."""
+        """A scale that is not finite and positive, a platform or
+        compiler value below its minimum, a policy value its policy
+        refuses, or a RAID layout the node cannot build is refused
+        before any workload is built."""
         with pytest.raises(ValueError, match="config field"):
             ExperimentConfig().scaled(**changes)
 

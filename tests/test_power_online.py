@@ -80,9 +80,6 @@ class TestConstruction:
         {"demand_alpha": 1.5},
         {"demand_weight": -0.1},
         {"demand_weight": 1.1},
-        {"breakeven_margin": 0.0},
-        {"min_observe": -1.0},
-        {"decision_delay": -0.1},
     ])
     def test_forecast_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):
@@ -94,19 +91,14 @@ class TestConstruction:
         {"credit_cap": 0.0},
         {"utilization_bound": 0.0},
         {"utilization_bound": 2.0},
-        {"min_observe": -1.0},
-        {"decision_delay": -0.1},
     ])
     def test_credit_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):
             CreditMultiSpeed(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        {"breakeven_margin": 0.0},
         {"divergence_tolerance": 0.0},
         {"divergence_tolerance": -3.0},
-        {"min_observe": -1.0},
-        {"decision_delay": -0.1},
     ])
     def test_hybrid_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):
@@ -143,7 +135,7 @@ class TestForecastSpindown:
 
     def test_long_forecast_spins_down(self, sim):
         drive = Drive(sim, fast_spec(), name="test-disk")
-        policy = ForecastSpindown(epoch=5.0, decision_delay=0.1)
+        policy = ForecastSpindown(epoch=5.0)
         drive.attach_policy(policy)
         # Two widely-spaced requests: the trailing idle after each is far
         # beyond break-even, so the blended forecast must trigger.
@@ -157,9 +149,7 @@ class TestForecastSpindown:
     def test_hot_epoch_vetoes_spin_down(self, sim):
         drive = Drive(sim, fast_spec(), name="test-disk")
         # Full demand weight: the epoch-rate forecast alone decides.
-        policy = ForecastSpindown(
-            epoch=5.0, demand_weight=1.0, decision_delay=0.1
-        )
+        policy = ForecastSpindown(epoch=5.0, demand_weight=1.0)
         drive.attach_policy(policy)
         for i in range(24):  # dense traffic, every ~0.5 s
             submit_read(sim, drive, 0.5 * i)
@@ -183,7 +173,7 @@ class TestCreditMultiSpeed:
 
     def test_affordable_ramp_is_taken_and_paid(self, sim):
         drive = Drive(sim, multispeed_fast_spec(), name="test-disk")
-        policy = CreditMultiSpeed(slack_budget=1.0, decision_delay=0.1)
+        policy = CreditMultiSpeed(slack_budget=1.0)
         drive.attach_policy(policy)
         submit_read(sim, drive, 0.0)
         submit_read(sim, drive, 30.0)  # long gap, generous budget
@@ -196,7 +186,7 @@ class TestCreditMultiSpeed:
         drive = Drive(sim, multispeed_fast_spec(), name="test-disk")
         # Minimal budget: by the first decision point almost no credit
         # has accrued, so every desired drop is deferred.
-        policy = CreditMultiSpeed(slack_budget=1e-6, decision_delay=0.1)
+        policy = CreditMultiSpeed(slack_budget=1e-6)
         drive.attach_policy(policy)
         submit_read(sim, drive, 0.0)
         submit_read(sim, drive, 30.0)
@@ -263,9 +253,7 @@ class TestHybridCompilerAssist:
         spec = fast_spec()
         # Hints: a burst, then a long gap far beyond break-even.
         hints = {0: (0.0, 1.0, 2.0, 80.0)}
-        policy = HybridCompilerAssist(
-            hints=hints, decision_delay=0.1, divergence_tolerance=5.0
-        )
+        policy = HybridCompilerAssist(hints=hints, divergence_tolerance=5.0)
         drive = Drive(sim, spec, name="node0.disk0")
         drive.attach_policy(policy)
         for t in hints[0]:
@@ -276,7 +264,7 @@ class TestHybridCompilerAssist:
         assert drive.stats.spin_downs >= 1
 
     def test_no_hints_degrades_to_pure_online(self, sim):
-        policy = HybridCompilerAssist(decision_delay=0.1)
+        policy = HybridCompilerAssist()
         drive = Drive(sim, fast_spec(), name="node0.disk0")
         drive.attach_policy(policy)
         submit_read(sim, drive, 0.0)

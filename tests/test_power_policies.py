@@ -92,8 +92,6 @@ class TestPredictionSpinDown:
         with pytest.raises(ValueError):
             PredictionSpinDown(breakeven_margin=0)
         with pytest.raises(ValueError):
-            PredictionSpinDown(min_observe=-1)
-        with pytest.raises(ValueError):
             PredictionSpinDown(fallback_factor=-1)
 
     def _gap_train(self, sim, drive, gaps):
@@ -150,11 +148,12 @@ class TestPredictionSpinDown:
 
     def test_micro_gaps_not_observed(self, sim):
         drive = make_drive(sim)
-        policy = PredictionSpinDown(min_observe=0.5, fallback_factor=0)
+        policy = PredictionSpinDown(fallback_factor=0)
         drive.attach_policy(policy)
-        self._gap_train(sim, drive, [0.2] * 5 + [50.0])
+        micro = PredictionSpinDown.MIN_OBSERVE / 2
+        self._gap_train(sim, drive, [micro] * 5 + [50.0])
         drain(sim, drive)
-        # The 0.2s gaps are filtered; only the 50s gap and the trailing
+        # The micro-gaps are filtered; only the 50s gap and the trailing
         # simulation-end idle qualify as observations.
         assert policy.predictor.observations == 2
         assert policy.predictor.recent[0] == pytest.approx(50.0, abs=0.1)
@@ -167,11 +166,7 @@ class TestHistoryBasedMultiSpeed:
         with pytest.raises(ValueError):
             HistoryBasedMultiSpeed(utilization_bound=1.5)
         with pytest.raises(ValueError):
-            HistoryBasedMultiSpeed(min_observe=-1)
-        with pytest.raises(ValueError):
             HistoryBasedMultiSpeed(escalate_after=-1)
-        with pytest.raises(ValueError):
-            HistoryBasedMultiSpeed(decision_delay=-1)
 
     def test_dives_on_predicted_long_gaps(self, sim):
         spec = multispeed_fast_spec()

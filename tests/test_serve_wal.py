@@ -154,6 +154,16 @@ class TestAdmissionDurability:
             {"max_slack": -1},
             {"cache_bytes": -1},
             {"buffer_capacity_blocks": 0},
+            {"forecast_epoch": 0.0},
+            {"simple_timeout": -5.0},
+            {"staggered_step": -1.0},
+            {"prediction_margin": 0.0},
+            {"history_utilization_bound": 0.0},
+            {"credit_slack": 0.0},
+            {"hybrid_divergence": 0.0},
+            {"disks_per_node": 0},
+            {"raid_level": 7},
+            {"raid_level": 5, "disks_per_node": 2},
         ],
     )
     def test_out_of_range_config_is_400_before_the_wal(self, tmp_path,
