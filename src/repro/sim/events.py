@@ -170,10 +170,3 @@ class AnyOf:
         if not self.signals:
             raise ValueError("AnyOf requires at least one signal")
 
-
-class ProcessExit(Exception):
-    """Raised inside a process generator to terminate it early."""
-
-    def __init__(self, value: Optional[Any] = None):
-        super().__init__(value)
-        self.value = value

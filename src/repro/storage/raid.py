@@ -102,10 +102,6 @@ class RaidMap:
             return 2  # both mirrors
         return 1
 
-    def write_byte_amplification(self) -> int:
-        """Max physical bytes moved per logical byte written, fault-free."""
-        return self.write_op_amplification()
-
     def read_op_amplification(self, degraded: bool = False) -> int:
         """Max physical ops one fault-free (or degraded) chunk read costs."""
         if degraded and self.level == 5:
