@@ -37,7 +37,6 @@ from .races import WaitEdge, build_wait_graph, detect_races
 from .schedule_check import check_book
 from .verify import (
     RuntimeModel,
-    ScheduleVerificationError,
     capacity_profile,
     lint_program,
     verify_schedule,
@@ -72,7 +71,6 @@ __all__ = [
     "capacity_profile",
     "lint_trace",
     "RuntimeModel",
-    "ScheduleVerificationError",
     "verify_schedule",
     "lint_program",
     "lint_determinism",

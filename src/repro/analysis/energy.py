@@ -191,7 +191,8 @@ class EnergyEnvelope:
 
     @property
     def relative_width(self) -> float:
-        """Width ÷ upper bound — the BENCH-tracked tightness metric."""
+        """Width ÷ upper bound — the tightness metric ``repro analyze
+        --metrics`` records as ``energy.relative_width``."""
         if self.energy_j.hi <= 0:
             return 0.0
         return self.energy_j.width / self.energy_j.hi

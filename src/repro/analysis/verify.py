@@ -1,9 +1,10 @@
 """Verifier entry points: one call runs every static checker.
 
 :func:`verify_schedule` is what the CLI (``repro verify``) and the
-compiler gate (``CompilerOptions(verify=True)``) invoke; it aggregates the
-schedule checks, the race/deadlock detection and the capacity analysis
-into one :class:`~repro.analysis.diagnostics.Report`.  The runtime
+campaign's gate (:meth:`~repro.experiments.runner.Runner.verification`)
+invoke; it aggregates the schedule checks, the race/deadlock detection
+and the capacity analysis into one
+:class:`~repro.analysis.diagnostics.Report`.  The runtime
 semantics the checks model (``min_lead``, ``batch_slots``, buffer
 capacity) travel in a :class:`RuntimeModel`, defaulting to the session
 defaults so a bare ``verify_schedule(trace, book)`` checks what a bare
@@ -23,7 +24,6 @@ from .schedule_check import check_book
 
 __all__ = [
     "RuntimeModel",
-    "ScheduleVerificationError",
     "verify_schedule",
     "capacity_profile",
     "lint_program",
@@ -50,18 +50,6 @@ class RuntimeModel:
             min_lead=config.scheduler_min_lead,
             batch_slots=config.scheduler_batch_slots,
             buffer_capacity_blocks=config.buffer_capacity_blocks,
-        )
-
-
-class ScheduleVerificationError(RuntimeError):
-    """Raised by the compiler gate when a schedule has error diagnostics."""
-
-    def __init__(self, report: Report):
-        self.report = report
-        codes = ", ".join(sorted({d.code for d in report.errors}))
-        super().__init__(
-            f"schedule failed static verification with "
-            f"{len(report.errors)} error(s) [{codes}]"
         )
 
 

@@ -9,10 +9,10 @@ Thirteen subcommands:
 * ``resume`` — re-dispatch an interrupted ``run``/``figure`` campaign
   from its ``--journal`` file; finished points return as cache hits, so
   the merged output is bit-identical to an uninterrupted run;
-* ``bench`` — write a ``BENCH_*.json`` record of what CI gates on:
-  per-point simulator throughput (events/sec) and energy-envelope widths
-  for the figure grid; with ``--trace`` it also measures the paired
-  traced-vs-untraced slowdown and ``--max-trace-overhead`` bounds it;
+* ``bench`` — measure the paired traced-vs-untraced slowdown over the
+  figure grid (``--trace`` names the JSONL trace it writes) and record
+  it as ``BENCH_*.json``; ``--max-trace-overhead`` bounds it (the CI
+  gate);
 * ``report`` — render a metrics snapshot produced by ``--metrics`` as
   grouped tables (or JSON), optionally merging several snapshots;
 * ``schedule`` — compile a workload's I/O schedule and print its stats
@@ -89,7 +89,6 @@ Examples::
     python -m repro figure fig12c --scale 0.1 --jobs 4 \\
         --retries 2 --timeout 300 --journal fig12c.journal
     python -m repro resume fig12c.journal
-    python -m repro bench --quick
     python -m repro tournament --scale 0.05 --jobs 4
     python -m repro tournament --workloads sar,hf --entrants hybrid,forecast
     python -m repro bench --quick --trace trace.jsonl --max-trace-overhead 0.05
@@ -297,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser(
         "bench",
-        help="record per-point events/sec, envelope widths and trace "
-        "overhead as a BENCH_*.json record",
+        help="measure the traced-vs-untraced slowdown as a "
+        "BENCH_*.json record",
     )
     bench_p.add_argument("--quick", action="store_true",
                          help="small grid at scale 0.05 (CI smoke)")
@@ -307,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="FIG", help="subset of figures to grid")
     bench_p.add_argument("--output-dir", default=".", metavar="DIR",
                          help="where to write BENCH_<stamp>.json")
-    bench_p.add_argument("--trace", default=None, metavar="PATH",
-                         help="also measure the traced-vs-untraced "
-                         "slowdown, writing a JSONL trace to PATH")
+    bench_p.add_argument("--trace", required=True, metavar="PATH",
+                         help="write the traced passes' JSONL span trace "
+                         "to PATH")
     bench_p.add_argument("--repeats", type=_positive_int, default=1,
                          metavar="N",
                          help="repeat the trace-overhead measurement N "
@@ -319,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="FRAC",
                          help="exit non-zero if the traced pass is more "
                          "than FRAC slower than the untraced one "
-                         "(e.g. 0.05 = 5%%; needs --trace)")
+                         "(e.g. 0.05 = 5%%)")
 
     tour_p = sub.add_parser(
         "tournament",
@@ -845,9 +844,6 @@ def cmd_bench(args, out) -> int:
     unknown = sorted(set(figures) - set(GRID_FIGURES))
     if unknown:
         print(f"unknown figure(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    if args.max_trace_overhead is not None and not args.trace:
-        print("--max-trace-overhead needs --trace", file=sys.stderr)
         return 2
     record = run_bench(
         config=_base_config(args, scale),

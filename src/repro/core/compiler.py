@@ -34,12 +34,10 @@ class CompilerOptions:
     per-slot access bound; ``None`` disables §IV-B3), the slot granularity
     *d*, and whether the extended (multi-length) algorithm runs.
 
-    ``verify`` turns on the static schedule verifier
-    (:mod:`repro.analysis`) as a compile gate: a resulting book with any
-    error-severity diagnostic raises
-    :class:`~repro.analysis.ScheduleVerificationError` instead of being
-    returned, so broken scheduling policies fail at compile time rather
-    than after a simulation run.
+    The compiler does not verify what it emits: call
+    :func:`~repro.analysis.verify_schedule` on the result (the campaign
+    does, through :meth:`~repro.experiments.runner.Runner.verification`,
+    against the config's own runtime model).
     """
 
     delta: int = 20
@@ -51,7 +49,6 @@ class CompilerOptions:
     order: str = "shortest"
     weight_shape: str = "linear"
     slack: SlackOptions = field(default_factory=SlackOptions)
-    verify: bool = False
 
 
 @dataclass
@@ -114,14 +111,6 @@ def compile_schedule(
     book = ScheduleBook.from_accesses(
         accesses, n_processes=program.n_processes, n_slots=trace.n_slots
     )
-    if options.verify:
-        # Imported here: repro.analysis depends on this package, so the
-        # gate resolves it lazily to keep the import graph acyclic.
-        from ..analysis import ScheduleVerificationError, verify_schedule
-
-        report = verify_schedule(trace, book, include_lint=False)
-        if report.has_errors:
-            raise ScheduleVerificationError(report)
     return CompileResult(
         program=program, trace=trace, accesses=accesses, state=state, book=book
     )

@@ -24,8 +24,7 @@ Layout:
   recovery/quarantine, the resumable JSONL campaign journal and
   partial-failure reports;
 * :mod:`~repro.exec.bench` — the ``BENCH_*.json`` record CI gates on:
-  per-point events/sec, energy-envelope widths and the paired
-  trace-overhead measurement.
+  the paired trace-overhead measurement.
 """
 
 from .bench import QUICK_FIGURES, run_bench, write_bench_record

@@ -1,17 +1,14 @@
-"""``repro bench`` — the in-package measurements CI gates on.
+"""``repro bench`` — the trace-overhead measurement CI gates on.
 
-One record, three blocks:
+The record holds one measurement: the paired traced-vs-untraced
+slowdown (``trace_overhead``) that CI bounds at 5%, with the fastest
+pass's traced seconds (``traced_seconds``) beside it.
 
-* ``point_stats`` / ``events_per_sec`` — simulator throughput, each grid
-  point measured once serially (events executed, seconds, events/sec,
-  the simulation kernel's label);
-* ``envelopes`` — static energy-envelope widths of the benched workloads
-  (pure analysis, no simulation);
-* ``trace_overhead`` — with a trace path, the paired traced-vs-untraced
-  slowdown that CI bounds at 5%.
-
-Grid wall time, profiles and serving throughput are measured from fresh
-processes by the repository benchmark (``bench/run.py``), not here.
+Per-point throughput is ``bench/``'s ``sim.ns_per_event``, envelope
+widths are ``repro analyze --metrics``'s ``*.energy.relative_width``
+gauges, and grid wall time, profiles and serving throughput are
+measured from fresh processes by the repository benchmark
+(``bench/run.py``), not here.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from typing import Optional, Sequence
 from ..experiments.config import ExperimentConfig, default_config
 from ..experiments.runner import Runner
 from .executor import RunPoint
-from .grid import GRID_FIGURES, all_figure_points
+from .grid import all_figure_points
 from .serialize import SCHEMA_VERSION
 
 __all__ = ["QUICK_FIGURES", "run_bench", "write_bench_record"]
@@ -102,77 +99,21 @@ def _measure_trace_overhead(
     return min(traced_seconds), median
 
 
-def _envelope_widths(cfg: ExperimentConfig, workloads: Sequence[str]) -> list:
-    """Static energy-envelope tightness for the benched workloads.
-
-    Pure analysis (no simulation), so it adds milliseconds to a bench
-    pass; the widths ride along in the BENCH record to give envelope
-    tightness the same PR-over-PR trajectory the wall-clock numbers have.
-    """
-    from ..analysis.energy import CORPUS_POLICIES, analyze_energy
-
-    runner = Runner(cfg)
-    rows = []
-    for app in workloads:
-        trace = runner.trace(app)
-        book = runner.compilation(app).book
-        for policy in CORPUS_POLICIES:
-            for scheme in (False, True):
-                env = analyze_energy(
-                    trace, cfg, policy, scheme,
-                    book=book if scheme else None,
-                ).envelope
-                rows.append({
-                    "workload": app,
-                    "policy": policy,
-                    "scheme": scheme,
-                    "width_j": round(env.width_j, 1),
-                    "relative_width": round(env.relative_width, 4),
-                })
-    return rows
-
-
-def _point_throughput(points: Sequence[RunPoint]) -> tuple[list[dict], float]:
-    """Per-point simulator throughput: one measured serial pass.
-
-    Returns ``(rows, aggregate_events_per_sec)``.  Each point runs once
-    through :meth:`Runner.measure` (memo- and cache-bypassing, trace and
-    compilation warmed untimed), so the seconds cover simulation only.
-    """
-    runner = Runner(points[0].config)
-    rows: list[dict] = []
-    total_events = 0
-    total_seconds = 0.0
-    for point in points:
-        _, stats = runner.measure(
-            point.workload, point.policy, point.scheme, config=point.config
-        )
-        rows.append({
-            "point": point.label(),
-            "kernel": point.config.kernel,
-            "events": stats["events"],
-            "seconds": round(stats["seconds"], 4),
-            "events_per_sec": round(stats["events_per_sec"], 1),
-        })
-        total_events += stats["events"]
-        total_seconds += stats["seconds"]
-    aggregate = total_events / total_seconds if total_seconds > 0 else 0.0
-    return rows, aggregate
-
-
 def run_bench(
-    config: Optional[ExperimentConfig] = None,
-    figures: Sequence[str] = GRID_FIGURES,
-    trace_path: Optional[Path] = None,
+    config: Optional[ExperimentConfig],
+    figures: Sequence[str],
+    trace_path: Path,
     repeats: int = 1,
 ) -> dict:
-    """Run the grid benchmark; returns the record (not yet written).
+    """Measure the trace overhead over a grid; returns the record (not yet
+    written).
 
-    With ``trace_path`` the record gains ``traced_seconds`` and
-    ``trace_overhead`` (traced ÷ untraced − 1, measured pairwise per
-    point — see :func:`_measure_trace_overhead`), the number the CI gate
-    bounds.  ``repeats`` repeats that measurement and keeps the median;
-    the CI gate uses ``repeats >= 3`` to ride out noisy shared runners.
+    ``trace_overhead`` is traced ÷ untraced − 1, measured pairwise per
+    point (see :func:`_measure_trace_overhead`), and ``traced_seconds``
+    is the fastest traced pass; the JSONL trace of the last pass is
+    left at ``trace_path``.  ``repeats`` repeats the measurement and
+    keeps the median; the CI gate uses ``repeats >= 3`` to ride out
+    noisy shared runners.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1: {repeats}")
@@ -190,30 +131,14 @@ def run_bench(
         "workload_scale": cfg.workload_scale,
         "figures": list(figures),
         "points": len(points),
-        "kernel": cfg.kernel,
         "repeats": repeats,
     }
-
-    point_stats, aggregate_eps = _point_throughput(points)
-    record["point_stats"] = point_stats
-    record["events_per_sec"] = round(aggregate_eps, 1)
-
-    envelopes = _envelope_widths(
-        cfg, sorted({point.workload for point in points})
+    traced_seconds, overhead = _measure_trace_overhead(
+        points, Path(trace_path), repeats
     )
-    record["envelopes"] = envelopes
-    if envelopes:
-        record["envelope_mean_relative_width"] = round(
-            sum(e["relative_width"] for e in envelopes) / len(envelopes), 4
-        )
-
-    if trace_path is not None:
-        traced_seconds, overhead = _measure_trace_overhead(
-            points, Path(trace_path), repeats
-        )
-        record["traced_seconds"] = round(traced_seconds, 4)
-        record["trace_overhead"] = round(overhead, 4)
-        record["trace_path"] = str(trace_path)
+    record["traced_seconds"] = round(traced_seconds, 4)
+    record["trace_overhead"] = round(overhead, 4)
+    record["trace_path"] = str(trace_path)
     return record
 
 

@@ -69,10 +69,6 @@ class Runner:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.simulations = 0
-        #: Simulator statistics of the most recent ``_simulate`` call
-        #: (events executed).  Deliberately *not* part of
-        #: :class:`RunResult`, which holds only distilled outcomes.
-        self.last_sim_stats: dict = {}
         self._traces: dict[tuple, AccessTrace] = {}
         self._compilations: dict[tuple, CompileResult] = {}
         self._verifications: dict[tuple, "Report"] = {}
@@ -223,7 +219,6 @@ class Runner:
             faults=cfg.fault_plan,
         )
         outcome = session.run()
-        self.last_sim_stats = {"events": session.sim.events_executed}
         horizon = outcome.execution_time
         if obs is not None and obs.metrics is not None:
             from ..obs.collect import collect_session_metrics
@@ -266,39 +261,6 @@ class Runner:
         if key not in self._runs:
             self._runs[key] = self._simulate(workload, policy, scheme, cfg)
         return self._runs[key]
-
-    def measure(
-        self,
-        workload: str,
-        policy: str,
-        scheme: bool,
-        config: Optional[ExperimentConfig] = None,
-    ) -> tuple[RunResult, dict]:
-        """Simulate one point unconditionally; return ``(result, stats)``.
-
-        The benchmark's events/sec probe: bypasses the memo table (a
-        memoized result has no event timeline to measure), warms the
-        trace/compile memos first so only the simulation is timed, and
-        returns the simulator statistics alongside the result —
-        ``events``, ``seconds`` and ``events_per_sec``.  The result is
-        bit-identical to :meth:`run`'s and is *not* memoized (measured
-        passes must stay repeatable-cold).
-        """
-        import time
-
-        cfg = config or self.config
-        self.trace(workload, cfg)
-        if scheme:
-            self.compilation(workload, cfg)
-        start = time.perf_counter()  # det: wall-clock duration is the benchmark's measurement
-        result = self._simulate(workload, policy, scheme, cfg)
-        elapsed = time.perf_counter() - start  # det: wall-clock duration is the benchmark's measurement
-        stats = dict(self.last_sim_stats)
-        stats["seconds"] = elapsed
-        stats["events_per_sec"] = (
-            stats["events"] / elapsed if elapsed > 0 else 0.0
-        )
-        return result, stats
 
     def run_instrumented(
         self,

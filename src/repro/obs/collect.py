@@ -84,9 +84,10 @@ def collect_envelope_metrics(
         analysis.<app>.<policy>.<on|off>.contained         gauge 0/1
 
     ``measured_joules`` is the DES cross-validation result when the
-    caller ran one (``repro analyze --check``); the bench grid uploads
-    ``width_j``/``relative_width`` so envelope tightness is tracked over
-    time next to the perf numbers.
+    caller ran one (``repro analyze --check``).  The ``relative_width``
+    gauges are the one record of envelope tightness: CI's
+    ``analyzer-soundness`` job uploads them and asserts each lies in
+    [0, 1].
     """
     env = analysis.envelope
     prefix = (

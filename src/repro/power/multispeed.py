@@ -62,7 +62,7 @@ class HistoryBasedMultiSpeed(PredictivePolicy):
             raise ValueError(
                 f"utilization_bound must be in (0, 1]: {utilization_bound}"
             )
-        if escalate_after < 0:
+        if not escalate_after >= 0:
             raise ValueError(f"escalate_after must be non-negative: {escalate_after}")
         self.utilization_bound = utilization_bound
         self.escalate_after = escalate_after
@@ -146,8 +146,8 @@ class StaggeredMultiSpeed(PowerPolicy):
         """``step_timeout`` is the paper's *x₁* msec dwell before dropping
         one more level (50 ms per §V-A)."""
         super().__init__()
-        if step_timeout < 0:
-            raise ValueError(f"negative step_timeout: {step_timeout}")
+        if not step_timeout >= 0:
+            raise ValueError(f"step_timeout must be non-negative: {step_timeout}")
         self.step_timeout = step_timeout
 
     def _next_lower(self, rpm: int) -> int:

@@ -60,7 +60,7 @@ class ForecastSpindown(PredictivePolicy):
         spinning down even when the recent idle history alone is
         inconclusive, and a hot epoch vetoes a marginal spin-down."""
         super().__init__()
-        if epoch <= 0:
+        if not epoch > 0:
             raise ValueError(f"epoch must be positive: {epoch}")
         if not 0.0 < demand_alpha <= 1.0:
             raise ValueError(f"demand_alpha must be in (0, 1]: {demand_alpha}")
@@ -166,7 +166,7 @@ class CreditMultiSpeed(PredictivePolicy):
         super().__init__()
         if not 0.0 < slack_budget <= 1.0:
             raise ValueError(f"slack_budget must be in (0, 1]: {slack_budget}")
-        if credit_cap <= 0:
+        if not credit_cap > 0:
             raise ValueError(f"credit_cap must be positive: {credit_cap}")
         if not 0 < utilization_bound <= 1:
             raise ValueError(
@@ -255,7 +255,7 @@ class HybridCompilerAssist(PredictivePolicy):
         describes the run (stragglers, degraded RAID, load imbalance) and
         the policy overrides the compiler."""
         super().__init__()
-        if divergence_tolerance <= 0:
+        if not divergence_tolerance > 0:
             raise ValueError(
                 f"divergence_tolerance must be positive: {divergence_tolerance}"
             )

@@ -35,7 +35,7 @@ class OracleSpinDown(PowerPolicy):
         super().__init__()
         self._intervals = sorted(idle_intervals)
         self._starts = [s for s, _l in self._intervals]
-        if tolerance <= 0:
+        if not tolerance > 0:
             raise ValueError(f"tolerance must be positive: {tolerance}")
         self.tolerance = tolerance
         self.correct_decisions = 0

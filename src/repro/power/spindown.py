@@ -28,8 +28,8 @@ class SimpleSpinDown(PowerPolicy):
         """``timeout`` is the paper's *x* msec idleness threshold
         (50 ms by default, per §V-A)."""
         super().__init__()
-        if timeout < 0:
-            raise ValueError(f"negative timeout: {timeout}")
+        if not timeout >= 0:
+            raise ValueError(f"timeout must be non-negative: {timeout}")
         self.timeout = timeout
 
     def on_idle_start(self, now: float) -> None:
@@ -65,9 +65,9 @@ class PredictionSpinDown(PredictivePolicy):
         misprediction cost.  Set to 0 to disable the fallback (pure paper
         §II behaviour)."""
         super().__init__()
-        if breakeven_margin <= 0:
+        if not breakeven_margin > 0:
             raise ValueError(f"breakeven_margin must be positive: {breakeven_margin}")
-        if fallback_factor < 0:
+        if not fallback_factor >= 0:
             raise ValueError(f"fallback_factor must be non-negative: {fallback_factor}")
         self.breakeven_margin = breakeven_margin
         self.fallback_factor = fallback_factor

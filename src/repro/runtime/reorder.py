@@ -58,12 +58,6 @@ class StragglerAwareReorderer:
         self._seen[node] += 1
         self.observations += 1
 
-    def node_latency(self, node: int) -> float:
-        """Current latency estimate for ``node`` (0.0 before evidence)."""
-        if not 0 <= node < self.n_nodes:
-            return 0.0
-        return self._ewma[node]
-
     def expected_latency(self, signature: int) -> float:
         """Expected completion latency of a request with the given
         I/O-node bitmask: the slowest touched node gates the request."""

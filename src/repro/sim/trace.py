@@ -80,10 +80,6 @@ class StateTimeline:
     def time_in_state(self, state: str) -> float:
         return self.total_time(lambda s: s == state)
 
-    def integrate(self, power_of: Callable[[str], float]) -> float:
-        """Energy in joules: sum of ``power_of(state) * duration``."""
-        return sum(power_of(iv.state) * iv.duration for iv in self._intervals)
-
     def merged_periods(self, predicate: Callable[[str], bool]) -> list[Interval]:
         """Maximal runs of consecutive intervals whose states satisfy
         ``predicate`` (e.g. all idle-family states), merged into single

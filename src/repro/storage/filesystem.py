@@ -186,9 +186,6 @@ class ParallelFileSystem:
             if drive.policy is not None:
                 drive.policy.on_simulation_end(now)
 
-    def total_energy(self) -> float:
-        return sum(d.energy() for d in self.all_drives())
-
     def idle_periods(self) -> list[float]:
         """Idle-period lengths pooled over all drives (Fig. 12 CDFs)."""
         periods: list[float] = []

@@ -232,10 +232,6 @@ class IONode:
         return out
 
     # ------------------------------------------------------------------
-    def energy(self) -> float:
-        """Total joules over all attached drives (after finalize)."""
-        return sum(d.energy() for d in self.drives)
-
     def finalize(self) -> None:
         for drive in self.drives:
             drive.finalize()

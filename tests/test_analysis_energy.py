@@ -458,11 +458,17 @@ class TestEnvelopeMetrics:
         assert gauges[f"{prefix}.contained"] == 1.0
         assert f"{prefix}.widenings" in snap["counters"]
 
-    def test_bench_record_carries_envelope_widths(self):
-        from repro.exec.bench import _envelope_widths
-
-        rows = _envelope_widths(SMALL, ["hf"])
-        assert len(rows) == len(CORPUS_POLICIES) * 2
-        for row in rows:
-            assert row["relative_width"] <= 1.0
-            assert row["width_j"] >= 0.0
+    def test_corpus_envelope_widths_are_bounded(self, runner):
+        """Every corpus envelope is a proper interval no wider than its
+        own upper bound (the ``energy.relative_width`` gauge lies in
+        [0, 1])."""
+        trace = runner.trace("hf")
+        book = runner.compilation("hf").book
+        for policy in CORPUS_POLICIES:
+            for scheme in (False, True):
+                envelope = analyze_energy(
+                    trace, SMALL, policy, scheme,
+                    book=book if scheme else None,
+                ).envelope
+                assert envelope.width_j >= 0.0, (policy, scheme)
+                assert 0.0 <= envelope.relative_width <= 1.0, (policy, scheme)

@@ -17,7 +17,7 @@ SMALL = ExperimentConfig(n_clients=8, n_ionodes=4, workload_scale=0.05)
 
 
 def fake_record(**overrides):
-    record = {"kind": "repro-bench", "events_per_sec": 100000.0}
+    record = {"kind": "repro-bench", "trace_overhead": 0.01}
     record.update(overrides)
     return record
 
@@ -39,6 +39,11 @@ class TestWriteBenchRecord:
 
 
 class TestRunBench:
-    def test_library_callers_get_a_value_error_for_zero_repeats(self):
+    def test_library_callers_get_a_value_error_for_zero_repeats(
+        self, tmp_path
+    ):
         with pytest.raises(ValueError, match="repeats must be >= 1"):
-            run_bench(config=SMALL, figures=("table3",), repeats=0)
+            run_bench(
+                config=SMALL, figures=("table3",),
+                trace_path=tmp_path / "t.jsonl", repeats=0,
+            )

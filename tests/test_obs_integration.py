@@ -238,10 +238,13 @@ class TestBenchTraceOverhead:
     def test_cli_gate_requires_trace(self, tmp_path, capsys):
         """The gate needs a traced measurement: without ``--trace`` the
         flags are refused before any point is simulated or recorded."""
-        code, _ = run_cli(
-            "bench", "--figures", "table3", "--scale", "0.05",
-            "--max-trace-overhead", "0.05", "--output-dir", str(tmp_path),
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "bench", "--figures", "table3", "--scale", "0.05",
+                "--max-trace-overhead", "0.05", "--output-dir", str(tmp_path),
+            )
+        assert exc.value.code == 2
+        assert "the following arguments are required: --trace" in (
+            capsys.readouterr().err
         )
-        assert code == 2
-        assert "needs --trace" in capsys.readouterr().err
         assert not list(tmp_path.glob("BENCH_*.json"))

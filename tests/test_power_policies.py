@@ -5,6 +5,8 @@ shrunken-transition disk spec and asserts the decisions the paper ascribes
 to that policy.
 """
 
+import math
+
 import pytest
 
 from repro.disk import states as st
@@ -21,6 +23,8 @@ from repro.power import (
 
 from conftest import drain, fast_spec, make_drive, multispeed_fast_spec, submit_read
 
+NAN = math.nan
+
 
 class TestFactory:
     def test_all_names_resolve(self):
@@ -34,6 +38,31 @@ class TestFactory:
     def test_kwargs_forwarded(self):
         policy = make_policy("simple", timeout=3.5)
         assert policy.timeout == 3.5
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_policy("simple", timeout=NAN),
+            lambda: make_policy("staggered", step_timeout=NAN),
+            lambda: make_policy("history", escalate_after=NAN),
+            lambda: make_policy("forecast", epoch=NAN),
+            lambda: make_policy("credit", credit_cap=NAN),
+            lambda: make_policy("hybrid", divergence_tolerance=NAN),
+            lambda: make_policy("prediction", breakeven_margin=NAN),
+            lambda: make_policy("prediction", fallback_factor=NAN),
+            lambda: OracleSpinDown([], tolerance=NAN),
+        ],
+        ids=[
+            "simple-timeout", "staggered-step_timeout",
+            "history-escalate_after", "forecast-epoch", "credit-credit_cap",
+            "hybrid-divergence_tolerance", "prediction-breakeven_margin",
+            "prediction-fallback_factor", "oracle-tolerance",
+        ],
+    )
+    def test_nan_knob_rejected(self, build):
+        """Every range check is written so that NaN fails it."""
+        with pytest.raises(ValueError):
+            build()
 
     def test_unbound_policy_has_no_sim(self):
         with pytest.raises(RuntimeError):

@@ -72,12 +72,6 @@ class TestAccounting:
         low = tl.total_time(lambda s: s in ("idle", "standby"))
         assert low == pytest.approx(9.0)
 
-    def test_integrate_power(self):
-        tl = self.make()
-        powers = {"idle": 10.0, "busy": 30.0, "standby": 2.0}
-        energy = tl.integrate(lambda s: powers[s])
-        assert energy == pytest.approx(7 * 10 + 3 * 30 + 2 * 2)
-
     def test_durations_partition_horizon(self):
         tl = self.make()
         assert sum(iv.duration for iv in tl.intervals()) == pytest.approx(12.0)

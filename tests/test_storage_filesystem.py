@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.metrics.energy import fleet_energy
 from repro.storage import ParallelFileSystem
 
 from conftest import fast_spec
@@ -117,7 +118,7 @@ class TestAccounting:
         pfs.access(f, 0, 64 * KB, False, lambda: None)
         sim.run()
         pfs.finalize(sim.now)
-        assert pfs.total_energy() > 0
+        assert fleet_energy(pfs.all_drives(), sim.now) > 0
 
     def test_idle_periods_pooled(self, sim):
         pfs = make_pfs(sim)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.metrics.energy import fleet_energy
 from repro.storage import IONode, RaidMap, StorageCache
 
 from conftest import make_drive
@@ -142,6 +143,6 @@ class TestRaidIntegration:
         node.write(0, 64 * KB, lambda: None)
         sim.run()
         node.finalize()
-        assert node.energy() == sum(
+        assert fleet_energy(node.drives, sim.now) == sum(
             d.energy_breakdown().total for d in node.drives
         )
