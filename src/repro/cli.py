@@ -70,8 +70,8 @@ aborting on the first, and ``--journal PATH`` checkpoints each point's
 outcome so ``repro resume PATH`` can continue after a SIGINT or crash.
 ``run`` and ``figure`` also take ``--trace PATH`` (JSONL span trace of
 every simulated point; forces serial) and ``--metrics PATH`` (merged
-metrics snapshot; per-point files are merged deterministically, so
-parallel workers are fine).
+metrics snapshot; each point's snapshot comes back with its result and
+they merge in digest order, so the file is the same at any ``--jobs``).
 
 A numeric option out of range (``--jobs 0``, ``--retries -1``,
 ``--timeout 0``, ``--scale -1``, ``--clients 0``...) is a usage error:
@@ -365,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "it get 429 + Retry-After (default: 256)")
     serve_p.add_argument("--retries", type=int, default=1, metavar="N",
                          help="extra attempts per failed point (default: 1)")
-    serve_p.add_argument("--no-verify", action="store_true",
-                         help="skip static schedule verification of scheme "
-                         "submissions")
     serve_p.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="result cache root; tenants live in "
                          "DIR/<tenant> (default: $REPRO_CACHE_DIR or "
@@ -618,16 +615,10 @@ def _build_campaign(args, command: str, baseline: bool = False):
     cache, jobs and retry policy, but no telemetry outputs and no
     journal.
     """
-    import tempfile
-
     from .exec import CampaignJournal, CampaignSupervisor, ResultCache
 
     cache_dir = _resolved_cache_dir(args)
-    metrics_dir = journal = None
-    if getattr(args, "metrics", None) and not baseline:
-        # Per-point snapshots land in a scratch dir; the command merges
-        # them into the single --metrics file once the grid resolves.
-        metrics_dir = tempfile.mkdtemp(prefix="repro-metrics-")
+    journal = None
     if args.journal and not baseline:
         journal = CampaignJournal(
             args.journal, argv=_campaign_argv(args, command)
@@ -635,7 +626,7 @@ def _build_campaign(args, command: str, baseline: bool = False):
     return CampaignSupervisor(
         jobs=args.jobs,
         cache=ResultCache(cache_dir) if cache_dir is not None else None,
-        metrics_dir=metrics_dir,
+        metrics=bool(getattr(args, "metrics", None)) and not baseline,
         trace_path=None if baseline else getattr(args, "trace", None),
         trace_detail=getattr(args, "trace_detail", False),
         timeout=args.timeout,
@@ -680,16 +671,12 @@ def _report_failures(report, out) -> None:
         )
 
 
-def _finish_obs(args, campaign) -> None:
-    """Merge per-point metrics into the --metrics file; announce outputs."""
-    import shutil
-
-    if campaign.metrics_dir is not None:
-        from .exec import merge_metrics_dir
+def _finish_obs(args, campaign, report) -> None:
+    """Write the report's merged metrics to --metrics; announce outputs."""
+    if report.metrics is not None:
         from .obs.metrics import write_snapshot
 
-        write_snapshot(merge_metrics_dir(campaign.metrics_dir), args.metrics)
-        shutil.rmtree(campaign.metrics_dir, ignore_errors=True)
+        write_snapshot(report.metrics, args.metrics)
         print(f"[obs] metrics written to {args.metrics}", file=sys.stderr)
     if campaign.trace_path is not None:
         print(f"[obs] trace written to {campaign.trace_path}", file=sys.stderr)
@@ -739,7 +726,7 @@ def cmd_run(args, out) -> int:
     if report.failures:
         _report_failures(report, out)
         return 1
-    _finish_obs(args, campaign)
+    _finish_obs(args, campaign, report)
     base = runner.baseline(args.app)
     run = runner.run(args.app, args.policy, args.scheme)
     rows = [
@@ -785,7 +772,7 @@ def cmd_figure(args, out) -> int:
         # in-process; report the partial campaign instead.
         _report_failures(report, out)
         return 1
-    _finish_obs(args, campaign)
+    _finish_obs(args, campaign, report)
     result = FIGURES[args.name](runner)
     print(result.text, file=out)
     counts = report.counts()
@@ -1032,7 +1019,6 @@ def cmd_serve(args, out) -> int:
             workers=args.workers,
             queue_limit=args.queue_limit,
             retries=args.retries,
-            verify=not args.no_verify,
             wal_path=Path(wal) if wal is not None else None,
             recover=args.recover is not None,
             chaos_plan=chaos_plan,

@@ -9,17 +9,19 @@ Layout:
 * :mod:`~repro.exec.cache` — :class:`ResultCache`, a content-addressed
   on-disk store keyed by the canonical config digest;
 * :mod:`~repro.exec.executor` — :class:`RunPoint`, one grid cell, and
-  :func:`execute_point` (verify gating, then simulation);
+  :func:`execute_point`, the one point body (verify scheme points,
+  simulate, return the result with its metrics snapshot);
 * :mod:`~repro.exec.grid` — which run points each paper figure reads,
   found by rendering the figure once against a recording runner;
 * :mod:`~repro.exec.journal` — :class:`DurableJournal`, the fsync'd
   truncated-tail-tolerant JSONL substrate shared by the campaign journal
   and the scheduling server's admission WAL (``repro serve --recover``);
 * :mod:`~repro.exec.supervise` — :class:`CampaignSupervisor`, the one
-  campaign object: it holds a grid's configuration (jobs, cache, verify
-  gating, observability outputs, retry policy, journal), resolves points
+  campaign object: it holds a grid's configuration (jobs, cache,
+  observability outputs, retry policy, journal), resolves points
   against the cache, runs the misses (in-process or on a worker pool
-  with one shared Runner per worker) and stores fresh results, with
+  with one shared Runner per worker), stores fresh results and merges
+  their metrics snapshots onto its report, with
   watchdog timeouts, seeded-backoff retries, worker-crash
   recovery/quarantine, the resumable JSONL campaign journal and
   partial-failure reports;
@@ -29,12 +31,7 @@ Layout:
 
 from .bench import QUICK_FIGURES, run_bench, write_bench_record
 from .cache import CacheStats, ResultCache, point_digest
-from .executor import (
-    RunPoint,
-    VerifyFailure,
-    execute_point,
-    merge_metrics_dir,
-)
+from .executor import RunPoint, VerifyFailure, execute_point
 from .grid import (
     GRID_FIGURES,
     all_figure_points,
@@ -88,7 +85,6 @@ __all__ = [
     "RunPoint",
     "VerifyFailure",
     "execute_point",
-    "merge_metrics_dir",
     "figure_points",
     "all_figure_points",
     "GRID_FIGURES",

@@ -44,8 +44,8 @@ def _measure_trace_overhead(
     than the few percent being measured — so whole-pass comparisons are
     hopeless.  Instead each point is run back to back untraced and
     traced (order alternating by index so drift inside a pair cancels on
-    average), both through :meth:`Runner.run_instrumented` so neither
-    side touches the memo, on a runner whose compile/trace memos were
+    average), both through :meth:`Runner.run` with an ``obs`` so neither
+    side is served from the memo, on a runner whose compile/trace memos were
     warmed first.  The ratio of the summed halves is one estimate; the
     median over ``repeats`` estimates discards pairs that a drift edge
     split.  Verification is excluded from both halves (it is identical
@@ -57,9 +57,9 @@ def _measure_trace_overhead(
     runner = Runner(points[0].config)
     null_obs = Observability()
     for point in points:  # warm compile/trace memos, untimed
-        runner.run_instrumented(
-            point.workload, point.policy, point.scheme, null_obs,
-            config=point.config,
+        runner.run(
+            point.workload, point.policy, point.scheme, point.config,
+            obs=null_obs,
         )
     ratios = []
     traced_seconds = []
@@ -75,9 +75,9 @@ def _measure_trace_overhead(
                     order = order[::-1]
                 for obs, is_traced in order:
                     start = time.perf_counter()  # det: wall-clock duration is the benchmark's measurement
-                    runner.run_instrumented(
-                        point.workload, point.policy, point.scheme, obs,
-                        config=point.config,
+                    runner.run(
+                        point.workload, point.policy, point.scheme,
+                        point.config, obs=obs,
                     )
                     elapsed = time.perf_counter() - start  # det: wall-clock duration is the benchmark's measurement
                     if is_traced:

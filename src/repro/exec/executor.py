@@ -2,35 +2,32 @@
 
 A :class:`RunPoint` is one cell of an experiment grid.
 :func:`execute_point` verifies (scheme runs) and simulates it on a
-:class:`~repro.experiments.runner.Runner`; the campaign
+:class:`~repro.experiments.runner.Runner`, returning the result with the
+point's metrics snapshot; the campaign
 (:class:`~repro.exec.supervise.CampaignSupervisor`) calls it for every
 point that misses the result cache, in-process or on its worker pool.
-:func:`metrics_path_for` and :func:`merge_metrics_dir` name and merge the
-per-point metrics snapshots an observed campaign writes.
 
-Scheme runs are gated by the static verifier before simulation: a point
-whose schedule has error diagnostics raises :class:`VerifyFailure`, which
-the supervisor never retries.
+Every scheme run is gated by the static verifier before simulation: a
+point whose schedule has error diagnostics raises :class:`VerifyFailure`,
+which the supervisor never retries.  The report is memoised per schedule
+by :meth:`~repro.experiments.runner.Runner.verification`, so the gate
+costs one verification per compilation, not one per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Optional
 
 from ..experiments.config import ExperimentConfig
 from ..experiments.runner import Runner, RunResult
 from ..obs.base import Observability
-from ..obs.metrics import merge_snapshots, read_snapshot
-from .cache import point_digest
+from ..obs.metrics import MetricsRegistry
 
 __all__ = [
     "RunPoint",
     "VerifyFailure",
     "execute_point",
-    "metrics_path_for",
-    "merge_metrics_dir",
 ]
 
 
@@ -68,44 +65,30 @@ class VerifyFailure(RuntimeError):
 def execute_point(
     runner: Runner,
     point: RunPoint,
-    verify: bool = True,
-    obs: Optional[Observability] = None,
-) -> RunResult:
+    metrics: bool = False,
+    tracer: Any = None,
+) -> tuple[RunResult, Optional[dict[str, Any]]]:
     """Verify (scheme runs) then simulate one grid point on ``runner``.
 
-    With an enabled ``obs`` the point runs instrumented (never from the
-    result cache — cached entries carry no telemetry).
+    Returns ``(result, snapshot)``: ``snapshot`` is the point's metrics
+    snapshot when ``metrics`` is set, else ``None``.  With ``metrics`` or
+    a ``tracer`` the point runs observed (never from the runner's memo —
+    a memoized result carries no telemetry).
     """
-    cfg = point.config
-    if verify and point.scheme:
-        report = runner.verification(point.workload, cfg)
+    if point.scheme:
+        report = runner.verification(point.workload, point.config)
         if report.has_errors:
             raise VerifyFailure(
                 point.label(), report.render_text(title=point.label())
             )
-    if obs is not None and obs.enabled:
-        return runner.run_instrumented(
-            point.workload, point.policy, point.scheme, obs, config=cfg
+    obs = None
+    if metrics or tracer is not None:
+        if tracer is not None:
+            tracer.set_context(point=point.label())
+        obs = Observability(
+            tracer=tracer, metrics=MetricsRegistry() if metrics else None
         )
-    return runner.run(
-        point.workload, point.policy, point.scheme, config=cfg
+    result = runner.run(
+        point.workload, point.policy, point.scheme, point.config, obs=obs
     )
-
-
-def metrics_path_for(metrics_dir: Union[str, Path], point: RunPoint) -> Path:
-    """Per-point snapshot file, named by the point's content digest so
-    concurrent workers never collide and reruns overwrite in place."""
-    digest = point_digest(
-        point.config, point.workload, point.policy, point.scheme
-    )
-    return Path(metrics_dir) / f"{digest}.metrics.json"
-
-
-def merge_metrics_dir(metrics_dir: Union[str, Path]) -> dict:
-    """Merge every per-point snapshot under ``metrics_dir`` into one.
-
-    Files are read in sorted-name order, but the merge is commutative, so
-    worker completion order can never change the result.
-    """
-    paths = sorted(Path(metrics_dir).glob("*.metrics.json"))
-    return merge_snapshots(read_snapshot(p) for p in paths)
+    return result, obs.metrics.snapshot() if metrics else None

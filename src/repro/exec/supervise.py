@@ -3,19 +3,21 @@
 A *campaign* is one experiment grid run with caching, retries and a
 journal.  :class:`CampaignSupervisor` owns its whole configuration —
 worker count, the optional content-addressed
-:class:`~repro.exec.cache.ResultCache`, verify gating, observability
-outputs, the retry/watchdog policy and the journal — and resolves a grid
-in three steps:
+:class:`~repro.exec.cache.ResultCache`, observability outputs, the
+retry/watchdog policy and the journal — and resolves a grid in three
+steps:
 
 1. dedupe the points and look every one up in the cache (a hit costs one
    JSON read, no simulation, no worker dispatch);
-2. run the misses through :func:`~repro.exec.executor.execute_point` —
-   in-process for ``jobs <= 1`` (or a traced campaign), otherwise on a
-   ``ProcessPoolExecutor`` whose workers each keep one process-global
-   :class:`~repro.experiments.runner.Runner`, so traces and compilations
-   are built once per *worker*, not once per point;
+2. run the misses through :func:`~repro.exec.executor.execute_point`
+   (verify scheme points, simulate, return the result with its metrics
+   snapshot) — in-process for ``jobs <= 1`` (or a traced campaign),
+   otherwise on a ``ProcessPoolExecutor`` whose workers each keep one
+   process-global :class:`~repro.experiments.runner.Runner`, so traces
+   and compilations are built once per *worker*, not once per point;
 3. store each fresh result the moment its point completes (atomic,
-   content-addressed, so concurrent writers are safe).
+   content-addressed, so concurrent writers are safe); a campaign that
+   collects metrics merges the returned snapshots onto its report.
 
 Around that sits the machinery a multi-hour figure campaign needs to
 survive partial failure:
@@ -70,15 +72,9 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Union
 
 from ..experiments.runner import Runner, RunResult
-from ..obs.base import Observability
-from ..obs.metrics import MetricsRegistry, write_snapshot
+from ..obs.metrics import MetricsRegistry, merge_snapshots
 from .cache import ResultCache, point_digest
-from .executor import (
-    RunPoint,
-    VerifyFailure,
-    execute_point,
-    metrics_path_for,
-)
+from .executor import RunPoint, VerifyFailure, execute_point
 from .journal import DurableJournal
 from .serialize import (
     JOURNAL_SCHEMA_VERSION,
@@ -135,16 +131,20 @@ QUARANTINE_AFTER = 2
 #: Consecutive pool breaks before degrading to serial execution.
 MAX_POOL_BREAKS = 3
 
+#: What a point body returns: the result and its metrics snapshot (or
+#: ``None`` when the campaign collects no metrics).
+PointOutcome = tuple[RunResult, Optional[dict[str, Any]]]
+
 
 class WorkerFailure(RuntimeError):
     """A worker-side exception, flattened to strings for the pool.
 
     Arbitrary exceptions raised inside a point (simulation bugs, bad
     configs) may not pickle; arriving as an opaque ``PicklingError``
-    would defeat the whole report.  The supervised worker entry point
-    therefore wraps everything except :class:`VerifyFailure` into this —
-    label, original type name, message and formatted traceback, all
-    plain strings.
+    would defeat the whole report.  The pool's entry point
+    (:func:`_pool_run`) therefore wraps everything except
+    :class:`VerifyFailure` into this — label, original type name, message
+    and formatted traceback, all plain strings.
     """
 
     def __init__(
@@ -208,48 +208,16 @@ BOUNDARY_ERRORS: tuple[type, ...] = (VerifyFailure, WorkerFailure)
 # Worker side.  One Runner per worker process: traces and compilations are
 # memoized across every point the worker serves (the memo keys include the
 # relevant config fields, so sweep points share their workload trace).
+# The serial pass calls the same point body on its own Runner.
 # ----------------------------------------------------------------------
 _WORKER_RUNNER: Optional[Runner] = None
 
 
-def _run_one(
-    runner: Runner,
-    point: RunPoint,
-    verify: bool,
-    metrics_dir: Optional[str] = None,
-    tracer=None,
-) -> RunResult:
-    """One point's body, shared by the serial pass and the pool worker:
-    build its observability context, run it, write its metrics snapshot."""
-    obs = None
-    if metrics_dir is not None or tracer is not None:
-        if tracer is not None:
-            tracer.set_context(point=point.label())
-        obs = Observability(
-            tracer=tracer,
-            metrics=MetricsRegistry() if metrics_dir is not None else None,
-        )
-    result = execute_point(runner, point, verify=verify, obs=obs)
-    if metrics_dir is not None:
-        write_snapshot(
-            obs.metrics.snapshot(), metrics_path_for(metrics_dir, point)
-        )
-    return result
-
-
-def _worker_run(
-    point: RunPoint, verify: bool, metrics_dir: Optional[str] = None
-) -> RunResult:
-    global _WORKER_RUNNER
-    if _WORKER_RUNNER is None:
-        _WORKER_RUNNER = Runner(point.config)
-    return _run_one(_WORKER_RUNNER, point, verify, metrics_dir)
-
-
-def _supervised_worker_run(
-    point: RunPoint, verify: bool, metrics_dir: Optional[str] = None
-) -> RunResult:
-    """Worker entry point that guarantees picklable failure.
+def _pool_run(
+    point_fn: Callable[..., PointOutcome], point: RunPoint, metrics: bool
+) -> PointOutcome:
+    """The pool's entry point: ``point_fn`` on this worker's Runner, with
+    picklable failure.
 
     :class:`VerifyFailure` already crosses the pool cleanly and callers
     key on it (non-retryable); anything else is flattened into a
@@ -257,8 +225,11 @@ def _supervised_worker_run(
     """
     import traceback
 
+    global _WORKER_RUNNER
     try:
-        return _worker_run(point, verify, metrics_dir)
+        if _WORKER_RUNNER is None:
+            _WORKER_RUNNER = Runner(point.config)
+        return point_fn(_WORKER_RUNNER, point, metrics)
     except VerifyFailure:
         raise
     except Exception as exc:
@@ -383,6 +354,11 @@ class CampaignReport:
     timeouts: int = 0
     worker_deaths: int = 0
     interrupted: bool = False
+    #: When the campaign collects metrics: each simulated point's own
+    #: snapshot by digest, and ``metrics``, those snapshots merged in
+    #: digest order plus the supervisor's ``exec.*`` family.
+    snapshots: dict[str, dict[str, Any]] = field(default_factory=dict)
+    metrics: Optional[dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
@@ -435,10 +411,10 @@ class CampaignSupervisor:
 
     Every point goes through :func:`execute_point`, results are stored
     under their content digests, and a fault-free campaign is
-    bit-identical at any ``jobs``.  Each result is stored the moment its
-    point completes.  That per-point checkpointing is what makes
-    SIGINT/SIGKILL cheap: an interrupted campaign has lost only its
-    in-flight points.
+    bit-identical at any ``jobs``, its merged metrics snapshot included.
+    Each result is stored the moment its point completes.  That
+    per-point checkpointing is what makes SIGINT/SIGKILL cheap: an
+    interrupted campaign has lost only its in-flight points.
     """
 
     def __init__(
@@ -446,28 +422,26 @@ class CampaignSupervisor:
         *,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        verify: bool = True,
-        metrics_dir: Optional[Union[str, Path]] = None,
+        metrics: bool = False,
         trace_path: Optional[Union[str, Path]] = None,
         trace_detail: bool = False,
         timeout: Optional[float] = None,
         retries: int = 1,
         keep_going: bool = False,
         journal: Optional[CampaignJournal] = None,
-        worker_fn: Optional[Callable[..., RunResult]] = None,
+        worker_fn: Optional[Callable[..., PointOutcome]] = None,
     ):
         """``jobs`` is the worker count misses run on (1 = in-process).
-        ``metrics_dir`` makes every simulated point write a per-point
-        metrics snapshot (digest-named, safe under parallel workers);
-        merge with :func:`~repro.exec.executor.merge_metrics_dir`.
-        ``trace_path`` streams span events for every point into one JSONL
-        file — traced misses run serially, because interleaving
-        concurrent runs into one ordered stream would be
-        nondeterministic.  ``trace_detail`` adds per-operation records
-        (MPI-IO calls, disk requests, network transfers, I/O-node ops)
-        to the lifecycle trace.  Either output also disables cache
-        *reads* (a hit would produce no telemetry); fresh results are
-        still written back.
+        ``metrics`` collects a metrics snapshot from every simulated
+        point; each comes back with its result and the report carries
+        them merged (:attr:`CampaignReport.metrics`).  ``trace_path``
+        streams span events for every point into one JSONL file — traced
+        misses run serially, because interleaving concurrent runs into
+        one ordered stream would be nondeterministic.  ``trace_detail``
+        adds per-operation records (MPI-IO calls, disk requests, network
+        transfers, I/O-node ops) to the lifecycle trace.  Either output
+        also disables cache *reads* (a hit would produce no telemetry);
+        fresh results are still written back.
 
         ``timeout`` is the watchdog's seconds per attempt (None disables
         it), ``retries`` the extra attempts per point, and
@@ -481,10 +455,7 @@ class CampaignSupervisor:
             raise ValueError(f"retries must be >= 0: {retries}")
         self.jobs = jobs
         self.cache = cache
-        self.verify = verify
-        self.metrics_dir = (
-            str(metrics_dir) if metrics_dir is not None else None
-        )
+        self.collects_metrics = metrics
         self.trace_path = Path(trace_path) if trace_path is not None else None
         self.trace_detail = trace_detail
         self.timeout = timeout
@@ -492,7 +463,7 @@ class CampaignSupervisor:
         self.keep_going = keep_going
         self.journal = journal
         self.metrics = MetricsRegistry()
-        # Pre-register so a --metrics snapshot always carries the exec.*
+        # Pre-register so a merged snapshot always carries the exec.*
         # family, zeros included.
         for name in (
             "exec.retries",
@@ -504,14 +475,15 @@ class CampaignSupervisor:
         self.metrics.histogram(
             "exec.retry_backoff_s", RETRY_BACKOFF_BOUNDS
         )
-        # Injection point for tests (hung/killer stub workers); must be a
-        # module-level callable with _worker_run's signature.
-        self._worker_fn = worker_fn or _supervised_worker_run
+        # The point body; a test seam (hung/killer stub workers).  It must
+        # be a module-level callable with execute_point's signature, as
+        # the pool pickles it by qualified name.
+        self._point_fn = worker_fn or execute_point
 
     @property
     def observed(self) -> bool:
         """Whether this campaign emits telemetry for the points it runs."""
-        return self.metrics_dir is not None or self.trace_path is not None
+        return self.collects_metrics or self.trace_path is not None
 
     # ------------------------------------------------------------------
     def run_points(self, points: Iterable[RunPoint]) -> CampaignReport:
@@ -575,9 +547,20 @@ class CampaignSupervisor:
                     self._run_pool(tasks, report)
         except KeyboardInterrupt:
             report.interrupted = True
-            self._flush_metrics()
             raise
-        self._flush_metrics()
+        if self.collects_metrics:
+            # Snapshot totals are floats: merge in a fixed (digest) order
+            # so the merged file is the same at any worker count.
+            merged = merge_snapshots(
+                report.snapshots[d] for d in sorted(report.snapshots)
+            )
+            # The exec.* family is campaign-level, not a run: it joins the
+            # merge without counting towards merged_runs.  No point
+            # snapshot carries an exec.* name.
+            campaign = self.metrics.snapshot()
+            for kind in ("counters", "gauges", "histograms"):
+                merged[kind].update(campaign[kind])
+            report.metrics = merged
         return report
 
     # ------------------------------------------------------------------
@@ -590,10 +573,13 @@ class CampaignSupervisor:
             )
 
     def _complete(
-        self, task: _Task, result: RunResult, report: CampaignReport
+        self, task: _Task, outcome: PointOutcome, report: CampaignReport
     ) -> None:
+        result, snapshot = outcome
         report.results[task.point] = result
         report.outcomes[task.digest] = OUTCOME_OK
+        if snapshot is not None:
+            report.snapshots[task.digest] = snapshot
         # Checkpoint now, not at campaign end: this is what an
         # interrupted campaign resumes from.
         if self.cache is not None:
@@ -641,19 +627,6 @@ class CampaignSupervisor:
         self._journal(task, OUTCOME_RETRIED)
         return delay
 
-    def _flush_metrics(self) -> None:
-        """Land the exec.* counters where ``merge_metrics_dir`` finds
-        them, alongside the per-point worker snapshots."""
-        if self.metrics_dir is not None:
-            snapshot = self.metrics.snapshot()
-            # Campaign-level telemetry, not a per-point run: merging it
-            # must not inflate the merged_runs count.
-            snapshot["merged_runs"] = 0
-            write_snapshot(
-                snapshot,
-                Path(self.metrics_dir) / "supervisor.metrics.json",
-            )
-
     # ------------------------------------------------------------------
     # Serial supervised execution (jobs=1, tracing, or degraded mode)
     # ------------------------------------------------------------------
@@ -682,18 +655,9 @@ class CampaignSupervisor:
             for task in tasks:
                 while True:
                     try:
-                        if self._worker_fn is not _supervised_worker_run:
-                            result = self._worker_fn(
-                                task.point, self.verify, self.metrics_dir
-                            )
-                        else:
-                            result = _run_one(
-                                runner,
-                                task.point,
-                                self.verify,
-                                self.metrics_dir,
-                                tracer,
-                            )
+                        outcome = self._point_fn(
+                            runner, task.point, self.collects_metrics, tracer
+                        )
                     except VerifyFailure as exc:
                         self._fail(task, OUTCOME_FAILED, exc, report)
                         break
@@ -706,7 +670,7 @@ class CampaignSupervisor:
                         task.attempts += 1
                         time.sleep(self._backoff(task, report))
                         continue
-                    self._complete(task, result, report)
+                    self._complete(task, outcome, report)
                     break
         finally:
             if tracer is not None:
@@ -799,10 +763,10 @@ class CampaignSupervisor:
                     task = pending.popleft()
                     try:
                         future = pool.submit(
-                            self._worker_fn,
+                            _pool_run,
+                            self._point_fn,
                             task.point,
-                            self.verify,
-                            self.metrics_dir,
+                            self.collects_metrics,
                         )
                     except BrokenExecutor:
                         pending.appendleft(task)

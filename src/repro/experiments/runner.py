@@ -254,35 +254,22 @@ class Runner:
         policy: str,
         scheme: bool,
         config: Optional[ExperimentConfig] = None,
+        obs: Optional[Observability] = None,
     ) -> RunResult:
-        """Run (memoized) and distil one experiment."""
-        cfg = config or self.config
-        key = (workload, policy, scheme, cfg.to_key())
-        if key not in self._runs:
-            self._runs[key] = self._simulate(workload, policy, scheme, cfg)
-        return self._runs[key]
+        """Run (memoized) and distil one experiment.
 
-    def run_instrumented(
-        self,
-        workload: str,
-        policy: str,
-        scheme: bool,
-        obs: Observability,
-        config: Optional[ExperimentConfig] = None,
-    ) -> RunResult:
-        """Simulate one point under an observability context.
-
-        Never served from the memo table — a memoized result carries no
-        trace events and no metrics, so an instrumented request must
-        actually run.  The fresh result *is* memoized, and is
-        bit-identical to an uninstrumented run's.
+        Passing ``obs`` simulates now under that observability context,
+        never from the memo table — a memoized result carries no trace
+        events and no metrics.  The fresh result *is* memoized, and is
+        bit-identical to an unobserved run's.
         """
         cfg = config or self.config
-        if obs is None or not isinstance(obs, Observability):
-            raise TypeError("run_instrumented requires an Observability")
-        result = self._simulate(workload, policy, scheme, cfg, obs=obs)
-        self._runs[(workload, policy, scheme, cfg.to_key())] = result
-        return result
+        key = (workload, policy, scheme, cfg.to_key())
+        if obs is not None or key not in self._runs:
+            self._runs[key] = self._simulate(
+                workload, policy, scheme, cfg, obs=obs
+            )
+        return self._runs[key]
 
     def seed_result(
         self,

@@ -201,8 +201,6 @@ class ServerConfig:
     batch_max: int = 16
     #: Retries per point inside a batch (supervisor policy).
     retries: int = 1
-    #: Gate scheme submissions behind the static verifier.
-    verify: bool = True
     #: Terminal jobs kept addressable for polling, oldest evicted first.
     job_retention: int = 4096
     #: Admission write-ahead log.  When set, every accepted submission
@@ -940,7 +938,6 @@ class SchedulingServer:
         report = CampaignSupervisor(
             jobs=self.config.jobs,
             cache=cache,
-            verify=self.config.verify,
             retries=self.config.retries,
             keep_going=True,
         ).run_points(points)

@@ -177,7 +177,7 @@ class TestVerifyGating:
         # madbench2 at a 1-block buffer yields CAP001 errors.
         point = RunPoint("madbench2", "history", True, self.BAD)
         with pytest.raises(VerifyFailure) as exc:
-            execute_point(Runner(self.BAD), point, verify=True)
+            execute_point(Runner(self.BAD), point)
         assert "madbench2" in str(exc.value)
         assert "CAP001" in str(exc.value)
 
@@ -189,7 +189,7 @@ class TestVerifyGating:
             RunPoint("sar", "history", False, self.BAD),
         ]
         with pytest.raises(VerifyFailure) as exc:
-            run_points(points, jobs=2, verify=True)
+            run_points(points, jobs=2)
         assert "madbench2" in str(exc.value)
 
     def test_verify_failure_stores_nothing_in_cache(self, tmp_path):
@@ -197,18 +197,13 @@ class TestVerifyGating:
         with pytest.raises(VerifyFailure):
             run_points(
                 [RunPoint("madbench2", "history", True, self.BAD)],
-                jobs=1, cache=cache, verify=True,
+                jobs=1, cache=cache,
             )
         assert len(cache) == 0
 
-    def test_verify_off_skips_the_gate(self):
-        point = RunPoint("madbench2", "history", True, self.BAD)
-        result = run_points([point], jobs=1, verify=False)
-        assert result[point].energy_joules > 0
-
     def test_clean_points_pass_the_gate(self):
         point = RunPoint("sar", "history", True, TINY)
-        result = run_points([point], jobs=1, verify=True)
+        result = run_points([point], jobs=1)
         assert result[point].prefetches > 0
 
 
@@ -239,7 +234,7 @@ class TestVerifyMemo:
         for policy in ("simple", "prediction", "history", "staggered"):
             point = RunPoint("madbench2", policy, True, TestVerifyGating.BAD)
             with pytest.raises(VerifyFailure) as exc:
-                execute_point(runner, point, verify=True)
+                execute_point(runner, point)
             assert exc.value.label == point.label()
             assert "CAP001" in exc.value.report_text
         assert len(calls) == 1
@@ -251,9 +246,11 @@ class TestVerifyMemo:
         runner = Runner(TINY)
         good = RunPoint("madbench2", "history", True, TINY)
         bad = RunPoint("madbench2", "history", True, TestVerifyGating.BAD)
-        assert execute_point(runner, good, verify=True).prefetches > 0
+        result, snapshot = execute_point(runner, good)
+        assert result.prefetches > 0
+        assert snapshot is None
         with pytest.raises(VerifyFailure):
-            execute_point(runner, bad, verify=True)
+            execute_point(runner, bad)
         assert runner.compilation("madbench2", TINY) is runner.compilation(
             "madbench2", TestVerifyGating.BAD
         )
@@ -279,7 +276,7 @@ class TestVerifyMemo:
             monkeypatch.setattr(module, "trace_program", counting)
         runner = Runner(TINY)
         for policy in ("simple", "prediction", "history", "staggered"):
-            execute_point(runner, RunPoint("sar", policy, True, TINY), verify=True)
+            execute_point(runner, RunPoint("sar", policy, True, TINY))
         assert len(traces) == 1
 
 

@@ -22,7 +22,7 @@ from repro.exec import (
     VerifyFailure,
     WorkerFailure,
 )
-from repro.exec.supervise import _supervised_worker_run
+from repro.exec.supervise import _pool_run
 from repro.experiments import ExperimentConfig
 
 SPECIMENS = [
@@ -70,25 +70,24 @@ def test_round_trip_preserves_type_message_and_payload(exc):
 
 
 def test_worker_failure_flattens_unpicklable_exceptions(monkeypatch):
-    """The supervised worker entry point converts arbitrary (possibly
-    unpicklable) exceptions into a string-only WorkerFailure."""
+    """The pool's entry point converts arbitrary (possibly unpicklable)
+    exceptions into a string-only WorkerFailure."""
 
     class Unpicklable(RuntimeError):
         def __init__(self):
             super().__init__("cannot cross the pool")
             self.payload = lambda: None  # defeats pickle
 
-    def exploding_run(point, verify, metrics_dir=None):
+    def exploding_run(runner, point, metrics=False, tracer=None):
         raise Unpicklable()
 
-    monkeypatch.setattr(
-        "repro.exec.supervise._worker_run", exploding_run
-    )
+    # The entry point builds this process's worker Runner; drop it after.
+    monkeypatch.setattr("repro.exec.supervise._WORKER_RUNNER", None)
     point = RunPoint(
         "sar", "simple", False, ExperimentConfig(workload_scale=0.05)
     )
     with pytest.raises(WorkerFailure) as info:
-        _supervised_worker_run(point, verify=False)
+        _pool_run(exploding_run, point, False)
     failure = info.value
     assert failure.kind == "Unpicklable"
     assert failure.label == "sar/simple/plain"

@@ -32,9 +32,9 @@ from repro.exec import (
     ResultCache,
     RunPoint,
     VerifyFailure,
+    WorkerFailure,
     backoff_delay,
     load_journal,
-    merge_metrics_dir,
     point_digest,
     supervise,
 )
@@ -48,6 +48,7 @@ from repro.exec.supervise import (
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import RunResult
 from repro.metrics.idle import idle_cdf
+from repro.obs import MetricsRegistry
 
 TINY = ExperimentConfig(workload_scale=0.05)
 ENV_DIR = "REPRO_SUPERVISE_TEST_DIR"
@@ -69,8 +70,8 @@ def canned_result(point):
     )
 
 
-def scripted_worker(point, verify, metrics_dir=None):
-    """Stub worker whose behaviour keys off ``point.workload``.
+def scripted_worker(runner, point, metrics=False, tracer=None):
+    """Stub point body whose behaviour keys off ``point.workload``.
 
     ``ok*``     succeed immediately (and drop a completion marker);
     ``flakyN``  raise for the first N attempts, then succeed;
@@ -121,22 +122,23 @@ def scripted_worker(point, verify, metrics_dir=None):
         raise KeyboardInterrupt()
     else:
         raise AssertionError(f"unknown scripted workload {name!r}")
-    return canned_result(point)
+    return canned_result(point), (
+        MetricsRegistry().snapshot() if metrics else None
+    )
 
 
 def stub_points(*names, scheme=False):
     return [RunPoint(name, "simple", scheme, TINY) for name in names]
 
 
-def make_supervisor(jobs=1, cache=None, journal=None, metrics_dir=None,
+def make_supervisor(jobs=1, cache=None, journal=None, metrics=False,
                     **policy):
     """A campaign over the scripted worker; ``policy`` is ``timeout``,
     ``retries`` and/or ``keep_going``."""
     return CampaignSupervisor(
         jobs=jobs,
         cache=cache,
-        verify=False,
-        metrics_dir=metrics_dir,
+        metrics=metrics,
         journal=journal,
         worker_fn=scripted_worker,
         **policy,
@@ -328,16 +330,15 @@ class TestSerialSupervision:
             supervisor.run_points(stub_points("okH", "doomed"))
         assert cache.lookup(TINY, "okH", "simple", False) is not None
 
-    def test_supervisor_metrics_land_in_metrics_dir(self, scratch, tmp_path,
-                                                    monkeypatch):
-        metrics_dir = tmp_path / "metrics"
-        metrics_dir.mkdir()
+    def test_supervisor_metrics_land_in_report(self, scratch, monkeypatch):
         tune(monkeypatch, BACKOFF_BASE=0.001)
-        supervisor = make_supervisor(retries=1, metrics_dir=str(metrics_dir))
-        supervisor.run_points(stub_points("flaky1"))
-        merged = merge_metrics_dir(metrics_dir)
+        supervisor = make_supervisor(retries=1, metrics=True)
+        merged = supervisor.run_points(stub_points("flaky1")).metrics
         assert merged["counters"]["exec.retries"] == 1
         assert merged["counters"]["exec.worker_deaths"] == 0
+        assert merged["histograms"]["exec.retry_backoff_s"]["count"] == 1
+        # One point ran; the campaign-level exec.* family is not a run.
+        assert merged["merged_runs"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -418,8 +419,10 @@ class TestPoolRecovery:
         cached results, so a rerun repeats only the failed point."""
         cache = ResultCache(tmp_path / "cache")
         supervisor = make_supervisor(jobs=2, retries=0, cache=cache)
-        with pytest.raises(ValueError, match="permanently broken"):
+        # Pool failures arrive flattened by the pool's entry point.
+        with pytest.raises(WorkerFailure, match="permanently broken") as info:
             supervisor.run_points(stub_points("okJ", "okK", "doomedlate"))
+        assert info.value.kind == "ValueError"
         for name in ("okJ", "okK"):
             assert cache.lookup(TINY, name, "simple", False) is not None
         assert cache.lookup(TINY, "doomedlate", "simple", False) is None

@@ -25,7 +25,6 @@ from repro.exec import (
     CampaignSupervisor,
     ResultCache,
     RunPoint,
-    merge_metrics_dir,
     point_digest,
     run_result_to_dict,
 )
@@ -255,24 +254,17 @@ class TestSeededReplay:
             RunPoint("madbench2", "simple", True, faulted),
         ]
 
-    def test_serial_and_parallel_identical(self, tmp_path):
+    def test_serial_and_parallel_identical(self):
         points = self.points()
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        serial = CampaignSupervisor(
-            jobs=1, metrics_dir=serial_dir
-        ).run_points(points).results
-        parallel = CampaignSupervisor(
-            jobs=4, metrics_dir=parallel_dir
-        ).run_points(points).results
+        serial = CampaignSupervisor(jobs=1, metrics=True).run_points(points)
+        parallel = CampaignSupervisor(jobs=4, metrics=True).run_points(points)
         for point in points:
-            assert run_result_to_dict(parallel[point]) == \
-                run_result_to_dict(serial[point])
+            assert run_result_to_dict(parallel.results[point]) == \
+                run_result_to_dict(serial.results[point])
         # The merged observability snapshots agree too: every faults.*
         # counter (and everything else) replays exactly.
-        merged_serial = merge_metrics_dir(serial_dir)
-        merged_parallel = merge_metrics_dir(parallel_dir)
-        assert merged_parallel == merged_serial
+        merged_serial = serial.metrics
+        assert parallel.metrics == merged_serial
         assert any(
             name.startswith("faults.")
             for name in merged_serial.get("counters", {})
@@ -313,8 +305,8 @@ class TestRaid5DeadDiskAcceptance:
     def test_run_completes_with_reconstruction_counters(self):
         runner = Runner(self.CFG)
         registry = MetricsRegistry()
-        result = runner.run_instrumented(
-            "sar", "simple", False, Observability(metrics=registry)
+        result = runner.run(
+            "sar", "simple", False, obs=Observability(metrics=registry)
         )
         assert result.execution_time > 0
         snapshot = registry.snapshot()

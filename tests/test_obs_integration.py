@@ -4,17 +4,12 @@ per-worker metrics merging, trace output, and the CLI surface."""
 import io
 import json
 import math
+import tempfile
 
 import pytest
 
 from repro.cli import main
-from repro.exec import (
-    CampaignSupervisor,
-    ResultCache,
-    RunPoint,
-    merge_metrics_dir,
-)
-from repro.exec.executor import metrics_path_for
+from repro.exec import CampaignSupervisor, ResultCache, RunPoint
 from repro.experiments import ExperimentConfig, Runner
 from repro.obs import JsonlTracer, MetricsRegistry, Observability, read_trace
 
@@ -35,14 +30,12 @@ class TestInstrumentedRunner:
         obs = Observability(
             tracer=JsonlTracer(io.StringIO()), metrics=MetricsRegistry()
         )
-        instrumented = Runner(TINY).run_instrumented(
-            "sar", "simple", True, obs
-        )
+        instrumented = Runner(TINY).run("sar", "simple", True, obs=obs)
         assert instrumented == plain
 
     def test_collected_energy_matches_run_result_exactly(self):
         obs = Observability(metrics=MetricsRegistry())
-        result = Runner(TINY).run_instrumented("sar", "simple", False, obs)
+        result = Runner(TINY).run("sar", "simple", False, obs=obs)
         gauges = obs.metrics.snapshot()["gauges"]
         totals = [
             v for k, v in gauges.items()
@@ -71,7 +64,7 @@ class TestInstrumentedRunner:
         buf = io.StringIO()
         tracer = JsonlTracer(buf, detail=detail)
         obs = Observability(tracer=tracer)
-        Runner(TINY).run_instrumented("sar", "simple", True, obs)
+        Runner(TINY).run("sar", "simple", True, obs=obs)
         tracer.close()
         return [json.loads(l) for l in buf.getvalue().splitlines()]
 
@@ -107,26 +100,23 @@ class TestExecutorObservability:
         RunPoint("madbench2", "simple", False, TINY),
     ]
 
-    def test_metrics_dir_gets_one_snapshot_per_point(self, tmp_path):
-        CampaignSupervisor(jobs=1, metrics_dir=tmp_path).run_points(
+    def test_report_merges_one_snapshot_per_point(self):
+        merged = CampaignSupervisor(jobs=1, metrics=True).run_points(
             self.POINTS
-        )
-        for point in self.POINTS:
-            assert metrics_path_for(tmp_path, point).exists()
-        # Plus the supervisor's campaign-level exec.* snapshot.
-        files = sorted(tmp_path.glob("*.metrics.json"))
-        assert len(files) == len(self.POINTS) + 1
+        ).metrics
+        assert merged["merged_runs"] == len(self.POINTS)
+        assert merged["counters"]["sim.events_executed"] > 0
+        # Plus the supervisor's campaign-level exec.* family.
+        assert merged["counters"]["exec.retries"] == 0
 
-    def test_parallel_merge_identical_to_serial(self, tmp_path):
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        for jobs, metrics_dir in ((1, serial_dir), (2, parallel_dir)):
-            CampaignSupervisor(
-                jobs=jobs, metrics_dir=metrics_dir
-            ).run_points(self.POINTS)
-        assert merge_metrics_dir(serial_dir) == merge_metrics_dir(
-            parallel_dir
+    def test_parallel_merge_identical_to_serial(self):
+        serial, parallel = (
+            CampaignSupervisor(jobs=jobs, metrics=True).run_points(
+                self.POINTS
+            ).metrics
+            for jobs in (1, 2)
         )
+        assert parallel == serial
 
     def test_trace_path_forces_serial_and_writes_all_points(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -139,19 +129,20 @@ class TestExecutorObservability:
         point = self.POINTS[0]
         CampaignSupervisor(jobs=1, cache=cache).run_points([point])
         observed = CampaignSupervisor(
-            jobs=1, cache=cache, metrics_dir=tmp_path / "metrics"
+            jobs=1, cache=cache, metrics=True
         ).run_points([point])
         # A cache hit would have produced no snapshot; the point must
         # re-simulate.
         assert observed.counts()["ok"] == 1
         assert observed.counts()["cached"] == 0
-        assert list((tmp_path / "metrics").glob("*.metrics.json"))
+        assert observed.metrics["merged_runs"] == 1
 
     def test_unobserved_runs_emit_nothing(self, tmp_path):
         campaign = CampaignSupervisor(jobs=1)
-        results = campaign.run_points([self.POINTS[0]]).results
+        report = campaign.run_points([self.POINTS[0]])
         assert not campaign.observed
-        assert list(results.values())[0].energy_joules > 0
+        assert report.metrics is None
+        assert list(report.results.values())[0].energy_joules > 0
 
 
 class TestCliObservability:
@@ -206,6 +197,36 @@ class TestCliObservability:
     def test_report_rejects_missing_file(self, tmp_path):
         code, _ = run_cli("report", str(tmp_path / "nope.json"))
         assert code == 2
+
+    def test_failed_observed_campaigns_leave_no_temp_files(
+        self, tmp_path, monkeypatch
+    ):
+        """An interrupted and a failing --metrics campaign leave nothing
+        behind in the temporary directory."""
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        argv = (
+            "figure", "fig12c", "--scale", "0.02", "--no-cache",
+            "--metrics", str(tmp_path / "m.json"),
+        )
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CampaignSupervisor, "warm_runner", interrupt)
+            assert run_cli(*argv)[0] == 130
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("synthetic point failure")
+
+        monkeypatch.setattr(Runner, "_simulate", broken)
+        code, _ = run_cli(*argv, "--keep-going", "--retries", "0")
+        assert code == 1
+        assert list(scratch.iterdir()) == []
+        assert not (tmp_path / "m.json").exists()
 
 
 def snap_schema(path):

@@ -230,8 +230,9 @@ class TestDeterminism:
         assert canonical_dumps(pooled) == canonical_dumps(doc)
 
 
-def _fail_forecast(point, verify, metrics_dir=None):
-    """Campaign worker fake: the forecast cell fails, the rest succeed."""
+def _fail_forecast(runner, point, metrics=False, tracer=None):
+    """Campaign point-body fake: the forecast cell fails, the rest
+    succeed."""
     if point.policy == "forecast":
         raise ValueError("synthetic point failure")
     return RunResult(
@@ -239,7 +240,7 @@ def _fail_forecast(point, verify, metrics_dir=None):
         execution_time=1.0, energy_joules=1.0, idle_cdf=None,
         idle_periods=[], energy_breakdown={}, buffer_hits=0, prefetches=0,
         accesses=0,
-    )
+    ), None
 
 
 class TestIncompleteGrid:
@@ -249,7 +250,7 @@ class TestIncompleteGrid:
 
     def test_keep_going_failure_raises(self):
         campaign = CampaignSupervisor(
-            verify=False, retries=0, keep_going=True, worker_fn=_fail_forecast
+            retries=0, keep_going=True, worker_fn=_fail_forecast
         )
         with pytest.raises(CampaignFailed):
             run_tournament(
@@ -259,14 +260,14 @@ class TestIncompleteGrid:
             )
 
     def test_cli_keep_going_failure_exits_1(self, monkeypatch, capsys):
-        real_run_one = supervise._run_one
+        real_execute_point = supervise.execute_point
 
-        def run_one(runner, point, *args, **kwargs):
+        def execute_point(runner, point, *args, **kwargs):
             if point.policy == "forecast":
                 raise ValueError("synthetic point failure")
-            return real_run_one(runner, point, *args, **kwargs)
+            return real_execute_point(runner, point, *args, **kwargs)
 
-        monkeypatch.setattr(supervise, "_run_one", run_one)
+        monkeypatch.setattr(supervise, "execute_point", execute_point)
         code = main([
             "tournament", "--scale", "0.05", "--workloads", "sar",
             "--entrants", "forecast", "--scenarios", "clean",
