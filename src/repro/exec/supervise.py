@@ -549,8 +549,8 @@ class CampaignSupervisor:
             report.interrupted = True
             raise
         if self.collects_metrics:
-            # Snapshot totals are floats: merge in a fixed (digest) order
-            # so the merged file is the same at any worker count.
+            # Merge in a fixed (digest) order, not completion order: the
+            # merge rules are order-independent except for NaN gauges.
             merged = merge_snapshots(
                 report.snapshots[d] for d in sorted(report.snapshots)
             )

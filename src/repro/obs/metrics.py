@@ -10,14 +10,16 @@ instrument kinds:
 
 Snapshots are plain JSON-able dicts so they can be written per worker
 process and merged later.  Merging is deterministic and order-independent:
-counters and histograms add (commutative, associative), gauges take the
-maximum (peak semantics — the only gauge aggregation that is
+counters and histogram buckets add, histogram totals are summed exactly
+(``math.fsum``, so float rounding cannot depend on order), gauges take
+the maximum (peak semantics — the only gauge aggregation that is
 order-independent without extra bookkeeping).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from pathlib import Path
 from typing import Any, Iterable, Sequence, Union
@@ -192,16 +194,35 @@ class MetricsRegistry:
         }
 
 
+def _exact_sum(values: list[float]) -> float:
+    """The correctly rounded sum of ``values``, whatever their order.
+
+    ``math.fsum`` refuses ``inf + -inf`` and an intermediate beyond the
+    float range; IEEE addition in sorted order is order-independent too.
+    """
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(sorted(values))
+
+
+def _signed_max(value: float) -> tuple[float, float]:
+    """Gauge merge key: the max, with ``0.0`` above ``-0.0``."""
+    return value, math.copysign(1.0, value)
+
+
 def merge_snapshots(snapshots: Iterable[dict[str, Any]]) -> dict[str, Any]:
     """Merge per-run snapshots into one (deterministic, order-independent).
 
-    Counters and histogram buckets/sums add; gauges take the max.  The
-    result of merging is independent of input order, so parallel workers
-    can write snapshot files in any completion order.
+    Counters and histogram buckets add, histogram totals are summed
+    exactly (``math.fsum``), and gauges take the max.  The merge of
+    NaN-free snapshots is independent of input order, so
+    ``repro report a.json b.json`` equals ``repro report b.json a.json``.
     """
     counters: dict[str, int] = {}
     gauges: dict[str, float] = {}
     histograms: dict[str, dict[str, Any]] = {}
+    totals: dict[str, list[float]] = {}
     merged_runs = 0
     for snap in snapshots:
         if snap.get("schema") != METRICS_SCHEMA_VERSION:
@@ -213,16 +234,18 @@ def merge_snapshots(snapshots: Iterable[dict[str, Any]]) -> dict[str, Any]:
         for name, value in snap.get("counters", {}).items():
             counters[name] = counters.get(name, 0) + value
         for name, value in snap.get("gauges", {}).items():
-            gauges[name] = max(gauges.get(name, float("-inf")), value)
+            gauges[name] = max(
+                gauges.get(name, -math.inf), value, key=_signed_max
+            )
         for name, h in snap.get("histograms", {}).items():
             have = histograms.get(name)
             if have is None:
                 histograms[name] = {
                     "bounds": list(h["bounds"]),
                     "counts": list(h["counts"]),
-                    "total": h["total"],
                     "count": h["count"],
                 }
+                totals[name] = [h["total"]]
             else:
                 if have["bounds"] != list(h["bounds"]):
                     raise ValueError(
@@ -232,8 +255,10 @@ def merge_snapshots(snapshots: Iterable[dict[str, Any]]) -> dict[str, Any]:
                 have["counts"] = [
                     a + b for a, b in zip(have["counts"], h["counts"])
                 ]
-                have["total"] += h["total"]
+                totals[name].append(h["total"])
                 have["count"] += h["count"]
+    for name, hist in histograms.items():
+        hist["total"] = _exact_sum(totals[name])
     return {
         "schema": METRICS_SCHEMA_VERSION,
         "merged_runs": merged_runs,

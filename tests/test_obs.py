@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     NULL_OBS,
@@ -100,6 +102,47 @@ class TestRegistry:
             read_snapshot(path)
 
 
+def _permuted_snapshots():
+    """A list of snapshots and a permutation of it."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    snapshot = st.builds(
+        lambda c, g, counts, total: {
+            "schema": 1,
+            "counters": {"c": c},
+            "gauges": {"g": g},
+            "histograms": {
+                "h": {
+                    "bounds": [1.0, 2.0],
+                    "counts": counts,
+                    "total": total,
+                    "count": sum(counts),
+                }
+            },
+        },
+        st.integers(0, 10**6),
+        finite,
+        st.lists(st.integers(0, 100), min_size=3, max_size=3),
+        finite,
+    )
+    return st.lists(snapshot, min_size=1, max_size=6).flatmap(
+        lambda snaps: st.tuples(st.just(snaps), st.permutations(snaps))
+    )
+
+
+def _totals_only(*totals):
+    """One single-observation histogram snapshot per total."""
+    return [
+        {
+            "schema": 1,
+            "histograms": {
+                "h": {"bounds": [1.0], "counts": [1, 0], "total": t,
+                      "count": 1}
+            },
+        }
+        for t in totals
+    ]
+
+
 class TestMerge:
     def _snap(self, c, g, h_counts, h_total, h_count):
         return {
@@ -134,6 +177,17 @@ class TestMerge:
         forward = merge_snapshots(snaps)
         backward = merge_snapshots(reversed(snaps))
         assert forward == backward
+
+    @settings(max_examples=300, deadline=None)
+    @given(_permuted_snapshots())
+    @example((_totals_only(0.1, 0.2, 0.3), _totals_only(0.3, 0.2, 0.1)))
+    def test_merge_equals_under_any_permutation(self, pair):
+        snaps, permuted = pair
+        merged = merge_snapshots(snaps)
+        assert merge_snapshots(permuted) == merged
+        # Byte for byte, as written: a gauge of 0.0 or -0.0 compares
+        # equal but renders differently.
+        assert json.dumps(merge_snapshots(permuted)) == json.dumps(merged)
 
     def test_merge_rejects_bounds_mismatch(self):
         a = self._snap(1, 1.0, [1, 0, 0], 0.5, 1)
