@@ -549,8 +549,7 @@ class CampaignSupervisor:
             report.interrupted = True
             raise
         if self.collects_metrics:
-            # Merge in a fixed (digest) order, not completion order: the
-            # merge rules are order-independent except for NaN gauges.
+            # Digest order, not the order the workers finished in.
             merged = merge_snapshots(
                 report.snapshots[d] for d in sorted(report.snapshots)
             )

@@ -215,9 +215,9 @@ def merge_snapshots(snapshots: Iterable[dict[str, Any]]) -> dict[str, Any]:
     """Merge per-run snapshots into one (deterministic, order-independent).
 
     Counters and histogram buckets add, histogram totals are summed
-    exactly (``math.fsum``), and gauges take the max.  The merge of
-    NaN-free snapshots is independent of input order, so
-    ``repro report a.json b.json`` equals ``repro report b.json a.json``.
+    exactly (``math.fsum``), and gauges take the max.  The merge is
+    independent of input order, so ``repro report a.json b.json`` equals
+    ``repro report b.json a.json``.
     """
     counters: dict[str, int] = {}
     gauges: dict[str, float] = {}

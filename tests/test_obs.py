@@ -103,7 +103,8 @@ class TestRegistry:
 
 
 def _permuted_snapshots():
-    """A list of snapshots and a permutation of it."""
+    """A list of snapshots and a permutation of it.  Floats are finite:
+    NaN (and so inf + -inf) never compares equal to itself."""
     finite = st.floats(allow_nan=False, allow_infinity=False)
     snapshot = st.builds(
         lambda c, g, counts, total: {
